@@ -22,8 +22,9 @@
 //! ```
 //!
 //! `--profile <path>` additionally writes a JSON breakdown of where the
-//! secure pipeline's on-loop time went (DH handshakes vs mask expansion vs
-//! fixed-point encode vs release unmasking) — CI uploads it as an artifact
+//! secure pipeline's on-loop time went (client DH handshakes vs the TSA's
+//! session establishment vs mask expansion vs fixed-point encode vs release
+//! unmasking) — CI uploads it as an artifact
 //! so an overhead-gate failure comes with its own triage data.
 
 use bench::perf::{compare, run_suite, run_suite_scenarios, SuiteResult, SCENARIO_NAMES};
@@ -227,7 +228,12 @@ fn main() -> ExitCode {
             .scenarios
             .iter()
             .filter(|s| {
-                s.secure_handshake_s + s.secure_mask_s + s.secure_encode_s + s.secure_unmask_s > 0.0
+                s.secure_handshake_s
+                    + s.secure_establish_s
+                    + s.secure_mask_s
+                    + s.secure_encode_s
+                    + s.secure_unmask_s
+                    > 0.0
             })
             .collect();
         for (i, s) in secure.iter().enumerate() {
@@ -235,6 +241,7 @@ fn main() -> ExitCode {
             let _ = writeln!(out, "    {{");
             let _ = writeln!(out, "      \"name\": \"{}\",", s.name);
             let _ = writeln!(out, "      \"handshake_s\": {:.6},", s.secure_handshake_s);
+            let _ = writeln!(out, "      \"establish_s\": {:.6},", s.secure_establish_s);
             let _ = writeln!(out, "      \"mask_s\": {:.6},", s.secure_mask_s);
             let _ = writeln!(out, "      \"encode_s\": {:.6},", s.secure_encode_s);
             let _ = writeln!(out, "      \"unmask_s\": {:.6}", s.secure_unmask_s);

@@ -348,6 +348,9 @@ pub struct ScenarioPerf {
     /// release unmasking.  All zero for clear scenarios; machine-dependent
     /// diagnostics only — never compared against a baseline.
     pub secure_handshake_s: f64,
+    /// See [`ScenarioPerf::secure_handshake_s`]; the TSA half of first
+    /// contacts.
+    pub secure_establish_s: f64,
     /// See [`ScenarioPerf::secure_handshake_s`].
     pub secure_mask_s: f64,
     /// See [`ScenarioPerf::secure_handshake_s`].
@@ -413,6 +416,7 @@ pub fn measure_scenario(name: &str, quick: bool, threads: usize, seed: u64) -> S
         identical: report_seq.fingerprint() == report_par.fingerprint(),
         secagg_overhead_factor: None,
         secure_handshake_s: timings.handshake_s,
+        secure_establish_s: timings.establish_s,
         secure_mask_s: timings.mask_s,
         secure_encode_s: timings.encode_s,
         secure_unmask_s: timings.unmask_s,
@@ -539,6 +543,11 @@ impl SuiteResult {
                 "      \"secure_handshake_s\": {:.6},",
                 s.secure_handshake_s
             );
+            let _ = writeln!(
+                out,
+                "      \"secure_establish_s\": {:.6},",
+                s.secure_establish_s
+            );
             let _ = writeln!(out, "      \"secure_mask_s\": {:.6},", s.secure_mask_s);
             let _ = writeln!(out, "      \"secure_encode_s\": {:.6},", s.secure_encode_s);
             let _ = writeln!(out, "      \"secure_unmask_s\": {:.6},", s.secure_unmask_s);
@@ -592,6 +601,7 @@ impl SuiteResult {
                     identical: Json::get(s, "identical")?.as_bool("identical")?,
                     secagg_overhead_factor: opt_f64("secagg_overhead_factor")?,
                     secure_handshake_s: f64_or_zero("secure_handshake_s")?,
+                    secure_establish_s: f64_or_zero("secure_establish_s")?,
                     secure_mask_s: f64_or_zero("secure_mask_s")?,
                     secure_encode_s: f64_or_zero("secure_encode_s")?,
                     secure_unmask_s: f64_or_zero("secure_unmask_s")?,
@@ -1032,6 +1042,7 @@ mod tests {
                 identical: true,
                 secagg_overhead_factor: None,
                 secure_handshake_s: 0.0,
+                secure_establish_s: 0.0,
                 secure_mask_s: 0.0,
                 secure_encode_s: 0.0,
                 secure_unmask_s: 0.0,
@@ -1113,6 +1124,7 @@ mod tests {
         let mut suite = sample_suite();
         suite.scenarios[0].secagg_overhead_factor = Some(3.25);
         suite.scenarios[0].secure_handshake_s = 0.125;
+        suite.scenarios[0].secure_establish_s = 0.375;
         suite.scenarios[0].secure_mask_s = 0.5;
         suite.scenarios[0].secure_encode_s = 0.0625;
         suite.scenarios[0].secure_unmask_s = 0.25;
@@ -1128,6 +1140,7 @@ mod tests {
         for key in [
             "secagg_overhead_factor",
             "secure_handshake_s",
+            "secure_establish_s",
             "secure_mask_s",
             "secure_encode_s",
             "secure_unmask_s",

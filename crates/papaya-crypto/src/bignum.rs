@@ -251,6 +251,15 @@ impl<const N: usize> Uint<N> {
         }
         result
     }
+
+    /// The low `min(M, N)` limbs as a `Uint<M>`, zero-extended: exact when
+    /// widening, and exact when narrowing a value below `2^(64 M)`.
+    fn resize<const M: usize>(&self) -> Uint<M> {
+        let mut limbs = [0u64; M];
+        let k = M.min(N);
+        limbs[..k].copy_from_slice(&self.limbs[..k]);
+        Uint { limbs }
+    }
 }
 
 impl<const N: usize> PartialOrd for Uint<N> {
@@ -265,25 +274,46 @@ impl<const N: usize> Ord for Uint<N> {
     }
 }
 
+/// Limb width of the narrow Montgomery kernel.  A modulus of at most 256
+/// bits (the simulation's Diffie–Hellman group) runs every multiplication at
+/// this width, whatever the width of the type it is stored in.
+const NARROW: usize = 4;
+
 /// Montgomery-form modular arithmetic context for an odd modulus.
 ///
-/// Supports modular multiplication and exponentiation in `O(w^2)` limb
-/// operations per multiplication using the CIOS method, where `w ≤ N` is the
-/// number of limbs the modulus actually occupies.  Arithmetic runs at the
-/// modulus's *active* width, so a 256-bit group embedded in a `Uint<32>`
-/// costs 4-limb multiplications, not 32-limb ones.
+/// Every multiplication runs one CIOS kernel whose width `W` (in limbs) is a
+/// compile-time constant, so its carry chains unroll and its operands are
+/// exactly `W` limbs wide.  The context picks `W` once, at construction: 4
+/// limbs when the modulus fits in 256 bits, the full type width `N`
+/// otherwise.  A 256-bit group embedded in a `Uint<32>` thus costs 4-limb
+/// multiplications on 32-byte operands.  The Montgomery radix
+/// `R = 2^(64 W)` follows the width; it never shows, because every public
+/// operation takes and returns ordinary residues.
 #[derive(Clone, Debug)]
 pub struct Montgomery<const N: usize> {
     modulus: Uint<N>,
-    /// Number of significant limbs of the modulus; all arithmetic and the
-    /// Montgomery radix use this width.
-    active: usize,
+    /// Kernel width in limbs: [`NARROW`] or `N`.
+    width: usize,
     /// `-modulus^{-1} mod 2^64`.
     n0_inv: u64,
-    /// `R^2 mod modulus` where `R = 2^(64 w)` and `w` is the active width.
+    /// `R^2 mod modulus`.
     r2: Uint<N>,
     /// `R mod modulus` (the Montgomery form of 1).
     r1: Uint<N>,
+}
+
+/// Runs `$body` with `$k` bound to the context's [`Kernel`] at its width —
+/// the one place the runtime width becomes a compile-time one.
+macro_rules! at_width {
+    ($ctx:expr, $k:ident => $body:expr) => {
+        if $ctx.width == NARROW {
+            let $k = $ctx.kernel::<NARROW>();
+            $body
+        } else {
+            let $k = $ctx.kernel::<N>();
+            $body
+        }
+    };
 }
 
 impl<const N: usize> Montgomery<N> {
@@ -299,24 +329,28 @@ impl<const N: usize> Montgomery<N> {
         );
         // papaya-lint: allow(panic-hygiene) -- documented panic: Montgomery construction requires a non-zero odd modulus (asserted above)
         let active = modulus.highest_bit().expect("modulus must be non-zero") / 64 + 1;
+        let width = if active <= NARROW && NARROW <= N {
+            NARROW
+        } else {
+            N
+        };
         let n0_inv = inv_mod_2_64(modulus.limbs[0]).wrapping_neg();
 
-        // r1 = 2^(64 w) mod modulus, computed by repeated modular doubling
-        // of 1.  The radix must match the active width mont_mul runs at, or
-        // every conversion in and out of Montgomery form would be off by a
-        // power of two.
+        // r1 = 2^(64 W) mod modulus, computed by repeated modular doubling
+        // of 1.  The radix must match the kernel width, or every conversion
+        // in and out of Montgomery form would be off by a power of two.
         let mut r1 = Uint::<N>::one().reduce(&modulus);
-        for _ in 0..(64 * active) {
+        for _ in 0..(64 * width) {
             r1 = r1.double_mod(&modulus);
         }
-        // r2 = 2^(128 w) mod modulus = r1 doubled 64 w more times.
+        // r2 = 2^(128 W) mod modulus = r1 doubled 64 W more times.
         let mut r2 = r1;
-        for _ in 0..(64 * active) {
+        for _ in 0..(64 * width) {
             r2 = r2.double_mod(&modulus);
         }
         Montgomery {
             modulus,
-            active,
+            width,
             n0_inv,
             r2,
             r1,
@@ -328,107 +362,33 @@ impl<const N: usize> Montgomery<N> {
         &self.modulus
     }
 
-    /// Converts into Montgomery form.  Operands at or above the modulus are
-    /// reduced first: active-width multiplication requires both inputs'
-    /// limbs beyond the modulus width to be zero.
-    pub fn to_mont(&self, a: &Uint<N>) -> Uint<N> {
-        if a.cmp_value(&self.modulus) == Ordering::Less {
-            self.mont_mul(a, &self.r2)
-        } else {
-            self.mont_mul(&a.reduce(&self.modulus), &self.r2)
+    /// The context's constants at kernel width `W` (which must be the
+    /// context's width: the radix-dependent `r1`/`r2` are only valid there).
+    fn kernel<const W: usize>(&self) -> Kernel<W> {
+        debug_assert_eq!(W, self.width, "kernel width mismatch");
+        Kernel {
+            n: self.modulus.resize(),
+            n0_inv: self.n0_inv,
+            r1: self.r1.resize(),
+            r2: self.r2.resize(),
         }
     }
 
-    /// Converts out of Montgomery form.
-    pub fn from_mont(&self, a: &Uint<N>) -> Uint<N> {
-        self.mont_mul(a, &Uint::one())
-    }
-
-    /// Montgomery multiplication: returns `a * b * R^{-1} mod modulus`.
-    ///
-    /// Both operands must be reduced (below the modulus); every caller in
-    /// this module guarantees it.  Runs at the modulus's active width `w`:
-    /// only the low `w` limbs participate, with the two CIOS overflow limbs
-    /// held in scalars, and the accumulator lives on the stack.
-    // Index style keeps the CIOS carry chains legible across `t`, `a`, `b`.
-    #[allow(clippy::needless_range_loop)]
-    pub fn mont_mul(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        // CIOS (coarsely integrated operand scanning).
-        let w = self.active;
-        let n = &self.modulus.limbs;
-        let mut t = [0u64; N];
-        let mut t_hi = 0u64; // t[w]
-        let mut t_hi2; // t[w + 1]; assigned each iteration before use
-        for i in 0..w {
-            // t += a[i] * b
-            let mut carry = 0u128;
-            for j in 0..w {
-                let sum = t[j] as u128 + (a.limbs[i] as u128) * (b.limbs[j] as u128) + carry;
-                t[j] = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = t_hi as u128 + carry;
-            t_hi = sum as u64;
-            t_hi2 = (sum >> 64) as u64;
-
-            // m = t[0] * n0_inv mod 2^64
-            let m = t[0].wrapping_mul(self.n0_inv);
-            // t += m * n; then shift right one limb.
-            let sum = t[0] as u128 + (m as u128) * (n[0] as u128);
-            let mut carry = sum >> 64;
-            for j in 1..w {
-                let sum = t[j] as u128 + (m as u128) * (n[j] as u128) + carry;
-                t[j - 1] = sum as u64;
-                carry = sum >> 64;
-            }
-            let sum = t_hi as u128 + carry;
-            t[w - 1] = sum as u64;
-            t_hi = t_hi2 + ((sum >> 64) as u64);
-        }
-        let result = Uint { limbs: t };
-        if t_hi != 0 || result.cmp_value(&self.modulus) != Ordering::Less {
-            result.overflowing_sub(&self.modulus).0
-        } else {
-            result
-        }
-    }
-
-    /// Modular multiplication `a * b mod modulus` for ordinary (non-Montgomery)
-    /// operands.
+    /// Modular multiplication `a * b mod modulus`.  Operands at or above the
+    /// modulus are reduced first.
     pub fn mul_mod(&self, a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let a = a.reduce(&self.modulus);
+        let b = b.reduce(&self.modulus);
+        // (a b R^-1) R^2 R^-1 = a b: two kernel calls, no conversions.
+        at_width!(self, k => k.mul(&k.mul(&a.resize(), &b.resize()), &k.r2).resize())
     }
 
     /// Modular exponentiation `base^exponent mod modulus` using a fixed
     /// 4-bit window over Montgomery form (left-to-right): ~w/4 windowed
     /// multiplies instead of one per set bit, on top of the w squarings.
     pub fn pow_mod<const E: usize>(&self, base: &Uint<N>, exponent: &Uint<E>) -> Uint<N> {
-        let highest = match exponent.highest_bit() {
-            Some(h) => h,
-            None => return Uint::one().reduce(&self.modulus),
-        };
-        // odd_powers[d - 1] = base^d in Montgomery form, d = 1..=15.
-        let base_m = self.to_mont(&base.reduce(&self.modulus));
-        let mut powers = [base_m; 15];
-        for d in 1..15 {
-            powers[d] = self.mont_mul(&powers[d - 1], &base_m);
-        }
-        let mut acc = self.r1; // Montgomery form of 1.
-        let top_window = highest / 4;
-        for w in (0..=top_window).rev() {
-            if w != top_window {
-                for _ in 0..4 {
-                    acc = self.mont_mul(&acc, &acc);
-                }
-            }
-            let digit = exponent.window4(w);
-            if digit != 0 {
-                acc = self.mont_mul(&acc, &powers[digit as usize - 1]);
-            }
-        }
-        self.from_mont(&acc)
+        let base = base.reduce(&self.modulus);
+        at_width!(self, k => k.pow(&base.resize(), exponent).resize())
     }
 
     /// Builds a fixed-base window table for repeated exponentiations of the
@@ -437,27 +397,17 @@ impl<const N: usize> Montgomery<N> {
     /// [`pow_mod_fixed`](Montgomery::pow_mod_fixed) then needs at most one
     /// multiplication per window and **no squarings** — ~6x cheaper than
     /// [`pow_mod`](Montgomery::pow_mod) for 256-bit exponents.  Worth it
-    /// from roughly four exponentiations on the same base.
+    /// from roughly four exponentiations on the same base.  Entries are
+    /// stored at the kernel width: 32 bytes each for a 256-bit modulus.
     pub fn precompute_base(&self, base: &Uint<N>, exp_bits: usize) -> FixedBase<N> {
         let windows = exp_bits.div_ceil(4);
-        let mut table = Vec::with_capacity(windows * 15);
-        // window_base = base^(16^i) in Montgomery form.
-        let mut window_base = self.to_mont(&base.reduce(&self.modulus));
-        for i in 0..windows {
-            if i > 0 {
-                for _ in 0..4 {
-                    window_base = self.mont_mul(&window_base, &window_base);
-                }
-            }
-            // table[i * 15 + (d - 1)] = base^(d * 16^i), d = 1..=15.
-            let mut acc = window_base;
-            table.push(acc);
-            for _ in 1..15 {
-                acc = self.mont_mul(&acc, &window_base);
-                table.push(acc);
-            }
-        }
-        FixedBase { table, windows }
+        let base = base.reduce(&self.modulus);
+        let powers = if self.width == NARROW {
+            Powers::Narrow(self.kernel::<NARROW>().precompute(&base.resize(), windows))
+        } else {
+            Powers::Wide(self.kernel::<N>().precompute(&base.resize(), windows))
+        };
+        FixedBase { powers, windows }
     }
 
     /// Fixed-base exponentiation against a table from
@@ -466,7 +416,8 @@ impl<const N: usize> Montgomery<N> {
     ///
     /// # Panics
     ///
-    /// Panics if the exponent has set bits beyond the table's `exp_bits`.
+    /// Panics if the exponent has set bits beyond the table's `exp_bits`, or
+    /// if the table was built by a context of another kernel width.
     pub fn pow_mod_fixed<const E: usize>(
         &self,
         base: &FixedBase<N>,
@@ -476,14 +427,138 @@ impl<const N: usize> Montgomery<N> {
             exponent.highest_bit().map_or(0, |h| h / 4 + 1) <= base.windows,
             "exponent exceeds the precomputed window count"
         );
+        match &base.powers {
+            Powers::Narrow(table) if self.width == NARROW => {
+                self.kernel::<NARROW>().pow_fixed(table, exponent).resize()
+            }
+            Powers::Wide(table) if self.width != NARROW => {
+                self.kernel::<N>().pow_fixed(table, exponent).resize()
+            }
+            _ => panic!("fixed-base table built at another kernel width"),
+        }
+    }
+}
+
+/// A [`Montgomery`] context's constants at the compile-time kernel width
+/// `W`; every modular multiplication of the crate runs through
+/// [`Kernel::mul`].
+struct Kernel<const W: usize> {
+    n: Uint<W>,
+    n0_inv: u64,
+    r1: Uint<W>,
+    r2: Uint<W>,
+}
+
+impl<const W: usize> Kernel<W> {
+    /// Montgomery multiplication: returns `a * b * R^{-1} mod n` for
+    /// operands below `n`, by CIOS (coarsely integrated operand scanning)
+    /// with the two overflow limbs held in scalars.
+    // Index style keeps the CIOS carry chains legible across `t`, `a`, `b`.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    fn mul(&self, a: &Uint<W>, b: &Uint<W>) -> Uint<W> {
+        let (a, b, n) = (&a.limbs, &b.limbs, &self.n.limbs);
+        let mut t = [0u64; W];
+        let mut t_hi = 0u64; // t[W]; t[W + 1] is at most 1 and folds back below
+        for i in 0..W {
+            // t += a[i] * b
+            let mut carry = 0u64;
+            for j in 0..W {
+                (t[j], carry) = mac(t[j], a[i], b[j], carry);
+            }
+            let (sum, overflow) = t_hi.overflowing_add(carry);
+            // m = t[0] * n0_inv mod 2^64; t += m * n, then shift right one limb.
+            let m = t[0].wrapping_mul(self.n0_inv);
+            let (_, mut carry) = mac(t[0], m, n[0], 0);
+            for j in 1..W {
+                (t[j - 1], carry) = mac(t[j], m, n[j], carry);
+            }
+            let (top, overflow2) = sum.overflowing_add(carry);
+            t[W - 1] = top;
+            t_hi = overflow as u64 + overflow2 as u64;
+        }
+        // t < 2n: subtract n once unless that borrows past t_hi.
+        let t = Uint { limbs: t };
+        let (diff, borrow) = t.overflowing_sub(&self.n);
+        if t_hi != 0 || !borrow {
+            diff
+        } else {
+            t
+        }
+    }
+
+    /// Converts a reduced residue into Montgomery form.
+    fn to_mont(&self, a: &Uint<W>) -> Uint<W> {
+        self.mul(a, &self.r2)
+    }
+
+    /// Converts out of Montgomery form.
+    fn to_normal(&self, a: &Uint<W>) -> Uint<W> {
+        self.mul(a, &Uint::one())
+    }
+
+    /// `base^exponent` for a reduced `base`, by a fixed 4-bit window
+    /// left to right.
+    fn pow<const E: usize>(&self, base: &Uint<W>, exponent: &Uint<E>) -> Uint<W> {
+        let Some(highest) = exponent.highest_bit() else {
+            return self.to_normal(&self.r1);
+        };
+        // powers[d - 1] = base^d in Montgomery form, d = 1..=15.
+        let base_m = self.to_mont(base);
+        let mut powers = [base_m; 15];
+        for d in 1..15 {
+            powers[d] = self.mul(&powers[d - 1], &base_m);
+        }
         let mut acc = self.r1; // Montgomery form of 1.
-        for w in 0..base.windows {
+        let top_window = highest / 4;
+        for w in (0..=top_window).rev() {
+            if w != top_window {
+                for _ in 0..4 {
+                    acc = self.mul(&acc, &acc);
+                }
+            }
             let digit = exponent.window4(w);
             if digit != 0 {
-                acc = self.mont_mul(&acc, &base.table[w * 15 + digit as usize - 1]);
+                acc = self.mul(&acc, &powers[digit as usize - 1]);
             }
         }
-        self.from_mont(&acc)
+        self.to_normal(&acc)
+    }
+
+    /// The fixed-base table of a reduced `base` over `windows` 4-bit
+    /// windows: entry `i * 15 + (d - 1)` is `base^(d * 16^i)` in Montgomery
+    /// form.
+    fn precompute(&self, base: &Uint<W>, windows: usize) -> Vec<Uint<W>> {
+        let mut table = Vec::with_capacity(windows * 15);
+        // window_base = base^(16^i) in Montgomery form.
+        let mut window_base = self.to_mont(base);
+        for i in 0..windows {
+            if i > 0 {
+                for _ in 0..4 {
+                    window_base = self.mul(&window_base, &window_base);
+                }
+            }
+            let mut acc = window_base;
+            table.push(acc);
+            for _ in 1..15 {
+                acc = self.mul(&acc, &window_base);
+                table.push(acc);
+            }
+        }
+        table
+    }
+
+    /// `base^exponent` against a [`Kernel::precompute`] table of `base`:
+    /// at most one multiplication per window and no squarings.
+    fn pow_fixed<const E: usize>(&self, table: &[Uint<W>], exponent: &Uint<E>) -> Uint<W> {
+        let mut acc = self.r1; // Montgomery form of 1.
+        for (w, powers) in table.chunks_exact(15).enumerate() {
+            let digit = exponent.window4(w);
+            if digit != 0 {
+                acc = self.mul(&acc, &powers[digit as usize - 1]);
+            }
+        }
+        self.to_normal(&acc)
     }
 }
 
@@ -495,10 +570,26 @@ impl<const N: usize> Montgomery<N> {
 /// exponentiate thousands of times.
 #[derive(Clone, Debug)]
 pub struct FixedBase<const N: usize> {
-    /// `table[i * 15 + (d - 1)] = base^(d * 16^i)` in Montgomery form.
-    table: Vec<Uint<N>>,
+    /// The powers at the building context's kernel width.
+    powers: Powers<N>,
     /// Number of 4-bit exponent windows covered.
     windows: usize,
+}
+
+/// [`FixedBase`] entries at one of the two kernel widths.
+#[derive(Clone, Debug)]
+enum Powers<const N: usize> {
+    /// [`NARROW`]-limb entries, for a modulus of at most 256 bits.
+    Narrow(Vec<Uint<NARROW>>),
+    /// Full-width entries.
+    Wide(Vec<Uint<N>>),
+}
+
+/// `t + a * b + carry` as (low limb, high limb); never overflows 128 bits.
+#[inline(always)]
+fn mac(t: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let sum = t as u128 + (a as u128) * (b as u128) + carry as u128;
+    (sum as u64, (sum >> 64) as u64)
 }
 
 /// Computes the inverse of `a` modulo `2^64` for odd `a` (Newton iteration).
@@ -630,8 +721,8 @@ mod tests {
 
     #[test]
     fn narrow_modulus_in_wide_type_matches_narrow_type() {
-        // The DH module embeds the 256-bit test group in a Uint<32>; the
-        // active-width fast path must agree with a natively 4-limb context.
+        // The DH module embeds the 256-bit test group in a Uint<32>; its
+        // narrow kernel must agree with a natively 4-limb context.
         let hex = "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f";
         let wide = Montgomery::new(U2048::from_hex(hex));
         let narrow = Montgomery::new(U256::from_hex(hex));
@@ -703,9 +794,9 @@ mod tests {
 
     #[test]
     fn to_mont_reduces_oversized_operands() {
-        // mul_mod feeds raw (possibly unreduced) operands through to_mont;
-        // values at or above the modulus must be reduced before the
-        // active-width multiply sees them.
+        // mul_mod takes raw (possibly unreduced) operands; values at or
+        // above the modulus must be reduced before the narrow kernel
+        // truncates them to its width.
         let p = U2048::from_u64(1_000_000_007);
         let ctx = Montgomery::new(p);
         let big = U2048::from_hex("ffffffffffffffffffffffffffffffff"); // 128 bits
@@ -725,9 +816,8 @@ mod tests {
 
     #[test]
     fn fermat_little_theorem_2048bit_group() {
-        // RFC 3526 group 14 modulus at full 32-limb width: the w == N case
-        // must be untouched by the active-width path.  A short exponent
-        // keeps the test fast.
+        // RFC 3526 group 14 modulus at full 32-limb width: the full-width
+        // kernel.  A short exponent keeps the test fast.
         let p = U2048::from_hex(
             "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74\
              020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437\

@@ -142,56 +142,88 @@ impl ChaCha20Rng {
         Self::from_seed(digest)
     }
 
+    /// Moves to the next keystream block.
+    fn refill(&mut self) {
+        self.block_idx = self.block_idx.wrapping_add(1);
+        self.block = self.cipher.block(self.block_idx);
+        self.offset = 0;
+    }
+
     /// Returns the next byte of keystream.
     #[inline]
     pub fn next_byte(&mut self) -> u8 {
         if self.offset == 64 {
-            self.block_idx = self.block_idx.wrapping_add(1);
-            self.block = self.cipher.block(self.block_idx);
-            self.offset = 0;
+            self.refill();
         }
         let b = self.block[self.offset];
         self.offset += 1;
         b
     }
 
-    /// Returns the next 32 bits of keystream.
+    /// The next `K` keystream bytes: one slice copy when they lie inside
+    /// the current block, byte reads only when they straddle its end.
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        let mut bytes = [0u8; 4];
-        for b in bytes.iter_mut() {
-            *b = self.next_byte();
+    fn next_bytes<const K: usize>(&mut self) -> [u8; K] {
+        if self.offset == 64 {
+            self.refill();
         }
-        u32::from_le_bytes(bytes)
+        match self.block[self.offset..].first_chunk::<K>() {
+            Some(bytes) => {
+                self.offset += K;
+                *bytes
+            }
+            None => std::array::from_fn(|_| self.next_byte()),
+        }
     }
 
-    /// Returns the next 64 bits of keystream.
+    /// Returns the next 32 bits of keystream (little-endian).
+    #[inline]
+    pub fn next_u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.next_bytes())
+    }
+
+    /// Returns the next 64 bits of keystream (little-endian).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let lo = self.next_u32() as u64;
-        let hi = self.next_u32() as u64;
-        (hi << 32) | lo
+        u64::from_le_bytes(self.next_bytes())
     }
 
     /// Fills `dest` with keystream bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for b in dest.iter_mut() {
-            *b = self.next_byte();
+        let mut dest = dest;
+        while !dest.is_empty() {
+            if self.offset == 64 {
+                self.refill();
+            }
+            let take = (64 - self.offset).min(dest.len());
+            let (head, rest) = dest.split_at_mut(take);
+            head.copy_from_slice(&self.block[self.offset..self.offset + take]);
+            self.offset += take;
+            dest = rest;
         }
     }
 
     /// Returns a uniformly random `u64` below `bound` (rejection sampling).
     ///
+    /// A draw `v` is accepted when it lies below the largest multiple of
+    /// `bound` that fits in a `u64`, `zone = u64::MAX - u64::MAX % bound`.
+    /// That multiple is at least `2^64 - bound`, so only the rare draws in
+    /// the top `bound` values need the division that computes it.
+    ///
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
-        let zone = u64::MAX - (u64::MAX % bound);
         loop {
             let v = self.next_u64();
-            if v < zone {
-                return v % bound;
+            if v < bound.wrapping_neg() || v < u64::MAX - (u64::MAX % bound) {
+                return if bound.is_power_of_two() {
+                    v & (bound - 1)
+                } else {
+                    v % bound
+                };
             }
         }
     }
@@ -298,6 +330,83 @@ mod tests {
         let mut rng2 = ChaCha20Rng::from_seed([5u8; 32]);
         let singles: Vec<u8> = (0..300).map(|_| rng2.next_byte()).collect();
         assert_eq!(big, singles);
+    }
+
+    /// Reads `len` keystream bytes one `next_byte` at a time: the
+    /// reference every word-wise read must reproduce.
+    fn byte_stream(seed: [u8; 32], len: usize) -> Vec<u8> {
+        let mut rng = ChaCha20Rng::from_seed(seed);
+        (0..len).map(|_| rng.next_byte()).collect()
+    }
+
+    #[test]
+    fn interleaved_reads_match_byte_stream() {
+        let seed = [6u8; 32];
+        let reference = byte_stream(seed, 4096);
+        // From every offset within a block, cycle through all four readers
+        // (with fill lengths that drift the alignment), so words straddle
+        // block boundaries at every position.
+        for start in 0..64 {
+            let mut rng = ChaCha20Rng::from_seed(seed);
+            let mut got = Vec::new();
+            for _ in 0..start {
+                got.push(rng.next_byte());
+            }
+            for step in 0..80 {
+                match step % 4 {
+                    0 => got.push(rng.next_byte()),
+                    1 => got.extend_from_slice(&rng.next_u32().to_le_bytes()),
+                    2 => got.extend_from_slice(&rng.next_u64().to_le_bytes()),
+                    _ => {
+                        let mut buf = vec![0u8; (step * 7 + start) % 131];
+                        rng.fill_bytes(&mut buf);
+                        got.extend_from_slice(&buf);
+                    }
+                }
+            }
+            assert_eq!(got[..], reference[..got.len()], "start {start}");
+        }
+    }
+
+    #[test]
+    fn next_below_matches_division_formula() {
+        // The formula the shortcut replaces: a byte-assembled u64, accepted
+        // below `u64::MAX - u64::MAX % bound`, reduced by `%`.
+        fn reference(rng: &mut ChaCha20Rng, bound: u64) -> u64 {
+            let zone = u64::MAX - (u64::MAX % bound);
+            loop {
+                let v = u64::from_le_bytes(std::array::from_fn(|_| rng.next_byte()));
+                if v < zone {
+                    return v % bound;
+                }
+            }
+        }
+        // Powers of two (masked), other bounds (divided), and bounds just
+        // above 2^63 whose draws land in the top zone about half the time.
+        let bounds = [
+            1,
+            2,
+            1 << 32,
+            1 << 40,
+            1 << 63,
+            3,
+            7,
+            1_000_003,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for bound in bounds {
+            let mut fast = ChaCha20Rng::from_seed([8u8; 32]);
+            let mut slow = ChaCha20Rng::from_seed([8u8; 32]);
+            for i in 0..20_000 {
+                assert_eq!(
+                    fast.next_below(bound),
+                    reference(&mut slow, bound),
+                    "bound {bound}, draw {i}"
+                );
+            }
+        }
     }
 
     #[test]

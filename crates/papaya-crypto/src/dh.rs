@@ -173,7 +173,8 @@ impl DhPrivateKey {
                 *limb = rng.next_u64();
             }
             let exponent = Uint::from_limbs(limbs);
-            // Reject trivially weak exponents (0 and 1).
+            // Reject weak exponents: a highest set bit below 2 means an
+            // exponent below 4 (0, 1, 2 or 3).
             if exponent.highest_bit().unwrap_or(0) >= 2 {
                 // Fixed-base exponentiation: bit-identical to pow(generator,
                 // exponent), minus all the squarings.
@@ -218,6 +219,82 @@ impl DhPrivateKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Known answers recorded before the width-specialised Montgomery
+    /// kernel: for a fixed RNG seed, both groups must keep producing the
+    /// same key pairs and shared secrets, through the fixed-base keygen,
+    /// the variable-base exchange and the precomputed-table exchange.
+    #[test]
+    fn known_answers_are_pinned() {
+        let cases = [
+            (
+                DhGroup::test_group_256(),
+                "802527b9698e90af3cf2db64d73571fcb52c9f45a9bb30bf7c3c314b2e156d94",
+                "a7110f2939933bf34a1e219b40e3c33ea23ad8fd6eeb9e5c4a1b2d82c1bd97b1",
+                "5b1e484e5583d37a233bfefd1a5e4fd8bad4572a66ef4db6f35aac18a17bb1df",
+            ),
+            (
+                DhGroup::rfc3526_2048(),
+                "614c21b5b0c34b37a8f45ebf3952e0d5f841182e041ce640a9a8ccfb6455d586\
+                 83cf620d4282e782d7b630f9e03bbb3fd44e34b94635f6dd99f4530117d2e7bd\
+                 fe7bd1653011306ff4aebd74ff5c8ab85a2aff84708b9c2e9f62d90072b5a8d4\
+                 a116d3ed135e209a1368cd46bed8a069e4b3f2f1629449ecafcb4d89bec576ab\
+                 8530ed455b334b48ec555f06a04a92ad06227368aa8f5606a433fc425dff5a57\
+                 885c54641a67282dcc61b1030f303cfd52c38ace06769491562a7949be942b8b\
+                 6a8ae508a84480ffdea09ab5cfc57706ec3cc297021408cd273d711ff1d44c66\
+                 43477c652811cbcbe0bf60a5dd73e3a09af2996a38e36de0903e69ec66a68b4",
+                "85d2df4f484bc2b7ae32f259b43761c960a736f619513977ea90269ca38f1aff\
+                 7baab7884c603e67b628743b9a4591894cc9d25961de4313bb5e68c95b3f260f\
+                 7558989d44b0d7bd869aca5126e1eff141a25fc0627e2268a8cb36ce958f8f06\
+                 2ea69d2fcfd6472797ce1c388449c3440dfb3d55d2b8fb441ea53a23d21582d3\
+                 45864395d4765b5ea93a83f62205f72cdf1bb2de4403c9406673a61049afa905\
+                 2f811c3a9dad95b66d567cec4834ba2dc0f0f356d978e509707817ccaaf16163\
+                 34181e9649202651b9748b0cf28191e3fe50d1473174e789b01dcd6bfe2c464d\
+                 fe28a2534bd0530aaf156d71d607725821f6b3a75a089a47024f613c31b4e972",
+                "f4b100ec1de85caa3d5b361f368f2656fab48d47b870a70356d02b283eac54a1",
+            ),
+        ];
+        for (group, a_pub, b_pub, secret) in cases {
+            let mut rng = ChaCha20Rng::from_seed([11u8; 32]);
+            let a = DhPrivateKey::generate(&group, &mut rng);
+            let b = DhPrivateKey::generate(&group, &mut rng);
+            assert_eq!(
+                *a.public_key().element(),
+                U2048::from_hex(a_pub),
+                "{}",
+                group.name()
+            );
+            assert_eq!(
+                *b.public_key().element(),
+                U2048::from_hex(b_pub),
+                "{}",
+                group.name()
+            );
+            assert_eq!(
+                hex(&a.shared_secret(&b.public_key())),
+                secret,
+                "{}",
+                group.name()
+            );
+            assert_eq!(
+                hex(&b.shared_secret(&a.public_key())),
+                secret,
+                "{}",
+                group.name()
+            );
+            let b_pre = group.precompute_public(&b.public_key());
+            assert_eq!(
+                hex(&a.shared_secret_precomputed(&b_pre)),
+                secret,
+                "{}",
+                group.name()
+            );
+        }
+    }
 
     #[test]
     fn exchange_agrees_test_group() {

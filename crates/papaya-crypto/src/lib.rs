@@ -35,6 +35,10 @@
 //! assert_eq!(s1, s2);
 //! ```
 
+// The SHA-NI compression function is the crate's only `unsafe` code; every
+// unsafe operation sits in its own block with a `// SAFETY:` argument.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod aead;
 pub mod bignum;
 pub mod chacha20;

@@ -1,7 +1,7 @@
 //! Property-based tests for the cryptographic substrate.
 
 use papaya_crypto::aead::{open, seal, AeadKey};
-use papaya_crypto::bignum::{Montgomery, U256};
+use papaya_crypto::bignum::{Montgomery, Uint, U2048, U256};
 use papaya_crypto::chacha20::ChaCha20Rng;
 use papaya_crypto::dh::{DhGroup, DhPrivateKey};
 use papaya_crypto::hmac::hmac_sha256;
@@ -109,5 +109,102 @@ proptest! {
         let a = DhPrivateKey::generate(&group, &mut rng);
         let b = DhPrivateKey::generate(&group, &mut rng);
         prop_assert_eq!(a.shared_secret(&b.public_key()), b.shared_secret(&a.public_key()));
+    }
+}
+
+/// `a * b mod n` by shift-and-add over the bits of `b`: no Montgomery form,
+/// only the schoolbook modular doubling and addition.
+fn naive_mul_mod<const N: usize>(a: &Uint<N>, b: &Uint<N>, n: &Uint<N>) -> Uint<N> {
+    let (a, b) = (a.reduce(n), b.reduce(n));
+    let mut acc = Uint::ZERO;
+    for i in (0..=b.highest_bit().unwrap_or(0)).rev() {
+        acc = acc.double_mod(n);
+        if b.bit(i) {
+            acc = acc.add_mod(&a, n);
+        }
+    }
+    acc
+}
+
+/// `base^e mod n` by left-to-right square-and-multiply over
+/// [`naive_mul_mod`].
+fn naive_pow_mod<const N: usize, const E: usize>(
+    base: &Uint<N>,
+    e: &Uint<E>,
+    n: &Uint<N>,
+) -> Uint<N> {
+    let mut acc = Uint::one().reduce(n);
+    for i in (0..=e.highest_bit().unwrap_or(0)).rev() {
+        acc = naive_mul_mod(&acc, &acc, n);
+        if e.bit(i) {
+            acc = naive_mul_mod(&acc, base, n);
+        }
+    }
+    acc
+}
+
+/// An odd modulus occupying exactly `active` limbs: the random limbs below
+/// `active`, with the top one forced nonzero.
+fn modulus_with_active_limbs<const N: usize>(random: &[u64; N], active: usize) -> Uint<N> {
+    let mut limbs = [0u64; N];
+    limbs[..active].copy_from_slice(&random[..active]);
+    limbs[0] |= 1;
+    limbs[active - 1] |= 1 << (random[N - 1] % 64);
+    Uint::from_limbs(limbs)
+}
+
+/// Checks `mul_mod`, `pow_mod` and `pow_mod_fixed` of one context against
+/// the naive reference, for operands that may exceed the modulus.
+fn check_against_naive<const N: usize>(
+    modulus: Uint<N>,
+    a: Uint<N>,
+    b: Uint<N>,
+    e: Uint<4>,
+) -> Result<(), TestCaseError> {
+    let ctx = Montgomery::new(modulus);
+    prop_assert_eq!(ctx.mul_mod(&a, &b), naive_mul_mod(&a, &b, &modulus));
+    let expected = naive_pow_mod(&a, &e, &modulus);
+    prop_assert_eq!(ctx.pow_mod(&a, &e), expected);
+    let table = ctx.precompute_base(&a, e.highest_bit().map_or(0, |h| h + 1));
+    prop_assert_eq!(ctx.pow_mod_fixed(&table, &e), expected);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The width-specialised Montgomery kernel agrees with naive
+    /// square-and-multiply for moduli of 1, 4 and 32 active limbs — the
+    /// narrow kernel (1 and 4 limbs, whose radix is wider than a 1-limb
+    /// modulus) and the full-width one — in a 2048-bit type and in a
+    /// natively 256-bit one.
+    #[test]
+    fn montgomery_matches_naive_square_and_multiply(
+        random in any::<[u64; 32]>(),
+        a in any::<[u64; 32]>(),
+        b in any::<[u64; 32]>(),
+        e in any::<[u64; 2]>(),
+    ) {
+        let e128 = Uint::<4>::from_limbs([e[0], e[1], 0, 0]);
+        for active in [1, 4, 32] {
+            // A 32-limb naive reference is slow; a 24-bit exponent keeps
+            // its square-and-multiply short.
+            let exponent = if active == 32 { Uint::from_u64(e[0] >> 40) } else { e128 };
+            check_against_naive(
+                modulus_with_active_limbs(&random, active),
+                U2048::from_limbs(a),
+                U2048::from_limbs(b),
+                exponent,
+            )?;
+        }
+        let narrow = |v: &[u64; 32]| U256::from_limbs([v[0], v[1], v[2], v[3]]);
+        for active in [1, 4] {
+            check_against_naive(
+                modulus_with_active_limbs(&[random[0], random[1], random[2], random[31]], active),
+                narrow(&a),
+                narrow(&b),
+                e128,
+            )?;
+        }
     }
 }
