@@ -232,15 +232,12 @@ fn config_validate_accepts_explicit_field_ignore() {
 const EVENTS_FIXTURE: &str = "pub enum EventKind { Alpha, Beta { id: u64 } }\n";
 
 fn dispatch_fixture(arms: &str) -> String {
-    // Two run loops, as in the real scenario file.
-    format!(
-        "pub fn run_direct(event: Event) {{\n    match event.kind {{ {arms} }}\n}}\n\
-         pub fn run_fleet(event: Event) {{\n    match event.kind {{ {arms} }}\n}}\n"
-    )
+    // One run loop, as in the real scenario file.
+    format!("pub fn run(event: Event) {{\n    match event.kind {{ {arms} }}\n}}\n")
 }
 
 #[test]
-fn event_dispatch_passes_when_both_matches_name_every_variant() {
+fn event_dispatch_passes_when_the_loop_names_every_variant() {
     let arms = "EventKind::Alpha => {} EventKind::Beta { .. } => {}";
     let w = ws(&[
         ("crates/papaya-sim/src/events.rs", EVENTS_FIXTURE),
@@ -257,13 +254,13 @@ fn event_dispatch_fires_on_unhandled_variant() {
         ("crates/papaya-sim/src/scenario.rs", &dispatch_fixture(arms)),
     ]);
     let findings = analyze(&w);
-    // Both dispatch sites miss `Beta`.
+    // The dispatch site misses `Beta`.
     assert_eq!(
         findings
             .iter()
             .filter(|f| f.rule == "event-dispatch" && f.message.contains("EventKind::Beta"))
             .count(),
-        2,
+        1,
         "{:?}",
         findings
     );
@@ -292,14 +289,14 @@ fn event_dispatch_fires_when_a_run_loop_is_missing() {
         ("crates/papaya-sim/src/events.rs", EVENTS_FIXTURE),
         (
             "crates/papaya-sim/src/scenario.rs",
-            "pub fn run(event: Event) { match event.kind { EventKind::Alpha => {} EventKind::Beta { .. } => {} } }\n",
+            "pub fn run(event: Event) { let _ = event.kind; }\n",
         ),
     ]);
     let findings = analyze(&w);
     assert!(
         findings
             .iter()
-            .any(|f| f.rule == "event-dispatch" && f.message.contains("need at least 2")),
+            .any(|f| f.rule == "event-dispatch" && f.message.contains("need at least 1")),
         "{:?}",
         findings
     );
@@ -529,7 +526,7 @@ fn seeded_task_config_field_fails_lint() {
     );
 }
 
-/// Adding an `EventKind` variant must fail the lint in both run loops.
+/// Adding an `EventKind` variant must fail the lint in the run loop.
 #[test]
 fn seeded_event_variant_fails_lint() {
     let (epath, events) = real("crates/papaya-sim/src/events.rs");
@@ -551,8 +548,8 @@ fn seeded_event_variant_fails_lint() {
                 |f| f.rule == "event-dispatch" && f.message.contains("EventKind::SeededNewEvent")
             )
             .count(),
-        2,
-        "both dispatch paths must flag the seeded variant: {:?}",
+        1,
+        "the run loop's dispatch must flag the seeded variant: {:?}",
         findings
             .iter()
             .filter(|f| f.rule == "event-dispatch")

@@ -3,7 +3,7 @@
 //!
 //! This module models the *placement and routing* responsibilities of the
 //! PAPAYA server components, independent of the training dynamics simulated
-//! by [`crate::engine`]:
+//! by [`crate::scenario`] and [`crate::task_runtime`]:
 //!
 //! * the **Coordinator** assigns tasks to persistent Aggregators (balancing
 //!   estimated workload), pools client demand from Aggregators, constructs

@@ -14,37 +14,19 @@ pub type SimTime = f64;
 /// What happens when an event fires.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
-    /// A participating client finished local training and reports/uploads.
+    /// A client participating in `task` finished local training and
+    /// uploads its update.
     ClientFinished {
+        /// The task the client trained for.
+        task: usize,
         /// Device id of the client.
         client_id: usize,
         /// Identifier of this participation (ties the finish to its start).
         participation_id: u64,
     },
-    /// A participating client failed (dropout, crash, or timeout abort).
+    /// A client participating in `task` failed (dropout, crash, or timeout
+    /// abort).
     ClientFailed {
-        /// Device id of the client.
-        client_id: usize,
-        /// Identifier of this participation.
-        participation_id: u64,
-    },
-    /// Periodic evaluation of the global model.
-    Evaluate,
-    /// Periodic utilization sample.
-    SampleUtilization,
-    /// Multi-task: a client participating in `task` finished local training
-    /// and uploads its update.
-    TaskClientFinished {
-        /// The task the client trained for.
-        task: usize,
-        /// Device id of the client.
-        client_id: usize,
-        /// Identifier of this participation.
-        participation_id: u64,
-    },
-    /// Multi-task: a client participating in `task` failed (dropout, crash,
-    /// or timeout abort).
-    TaskClientFailed {
         /// The task the client was training for.
         task: usize,
         /// Device id of the client.
@@ -52,33 +34,35 @@ pub enum EventKind {
         /// Identifier of this participation.
         participation_id: u64,
     },
-    /// Multi-task: periodic evaluation of one task's global model.
-    EvaluateTask {
+    /// Periodic evaluation of one task's global model.
+    Evaluate {
         /// The task to evaluate.
         task: usize,
     },
-    /// Multi-task: periodic control-plane sweep — live Aggregators heartbeat,
+    /// Fleet-less runs: periodic utilization sample.
+    SampleUtilization,
+    /// Fleet runs: periodic control-plane sweep — live Aggregators heartbeat,
     /// the Coordinator detects failures and reassigns orphaned tasks, client
     /// demand is pooled and new clients are assigned.
     ControlPlaneTick,
-    /// Multi-task: periodic Selector refresh of the Coordinator's assignment
+    /// Fleet runs: periodic Selector refresh of the Coordinator's assignment
     /// map (between a reassignment and the next refresh, stale Selectors
     /// refuse to route).
     RefreshSelectors,
-    /// Multi-task: injected failure — the given Aggregator process dies and
+    /// Fleet runs: injected failure — the given Aggregator process dies and
     /// stops heartbeating; its buffered state is lost.
     AggregatorCrash {
         /// The Aggregator that dies.
         aggregator: usize,
     },
-    /// Multi-task: injected recovery — a crashed Aggregator comes back and
+    /// Fleet runs: injected recovery — a crashed Aggregator comes back and
     /// heartbeats immediately; orphaned tasks are re-placed on it by the
     /// reconcile pass the heartbeat triggers.
     AggregatorRecover {
         /// The Aggregator that comes back.
         aggregator: usize,
     },
-    /// Multi-task: a control-plane reconciliation pass — the Coordinator
+    /// Fleet runs: a control-plane reconciliation pass — the Coordinator
     /// diffs desired placement (every task on a healthy Aggregator) against
     /// actual routes and emits corrective placements.  Scheduled only when
     /// the pass would do work, so scenarios that never diverge process no
@@ -126,22 +110,6 @@ impl fmt::Display for EventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EventKind::ClientFinished {
-                client_id,
-                participation_id,
-            } => write!(
-                f,
-                "client {client_id} finished (participation {participation_id})"
-            ),
-            EventKind::ClientFailed {
-                client_id,
-                participation_id,
-            } => write!(
-                f,
-                "client {client_id} failed (participation {participation_id})"
-            ),
-            EventKind::Evaluate => write!(f, "evaluate global model"),
-            EventKind::SampleUtilization => write!(f, "sample utilization"),
-            EventKind::TaskClientFinished {
                 task,
                 client_id,
                 participation_id,
@@ -149,7 +117,7 @@ impl fmt::Display for EventKind {
                 f,
                 "task {task}: client {client_id} finished (participation {participation_id})"
             ),
-            EventKind::TaskClientFailed {
+            EventKind::ClientFailed {
                 task,
                 client_id,
                 participation_id,
@@ -157,7 +125,8 @@ impl fmt::Display for EventKind {
                 f,
                 "task {task}: client {client_id} failed (participation {participation_id})"
             ),
-            EventKind::EvaluateTask { task } => write!(f, "evaluate task {task}"),
+            EventKind::Evaluate { task } => write!(f, "evaluate task {task}"),
+            EventKind::SampleUtilization => write!(f, "sample utilization"),
             EventKind::ControlPlaneTick => {
                 write!(f, "control-plane sweep (heartbeats, demand, assignment)")
             }
@@ -270,9 +239,9 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(5.0, EventKind::Evaluate);
+        q.schedule(5.0, EventKind::Evaluate { task: 0 });
         q.schedule(1.0, EventKind::SampleUtilization);
-        q.schedule(3.0, EventKind::Evaluate);
+        q.schedule(3.0, EventKind::Evaluate { task: 0 });
         let times: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
         assert_eq!(times, vec![1.0, 3.0, 5.0]);
     }
@@ -283,6 +252,7 @@ mod tests {
         q.schedule(
             2.0,
             EventKind::ClientFinished {
+                task: 0,
                 client_id: 1,
                 participation_id: 10,
             },
@@ -290,6 +260,7 @@ mod tests {
         q.schedule(
             2.0,
             EventKind::ClientFinished {
+                task: 0,
                 client_id: 2,
                 participation_id: 11,
             },
@@ -299,6 +270,7 @@ mod tests {
         assert_eq!(
             first.kind,
             EventKind::ClientFinished {
+                task: 0,
                 client_id: 1,
                 participation_id: 10
             }
@@ -306,6 +278,7 @@ mod tests {
         assert_eq!(
             second.kind,
             EventKind::ClientFinished {
+                task: 0,
                 client_id: 2,
                 participation_id: 11
             }
@@ -316,7 +289,7 @@ mod tests {
     fn len_and_is_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.schedule(1.0, EventKind::Evaluate);
+        q.schedule(1.0, EventKind::Evaluate { task: 0 });
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -337,7 +310,7 @@ mod tests {
             "refresh stale selector maps"
         );
         assert_eq!(
-            EventKind::TaskClientFinished {
+            EventKind::ClientFinished {
                 task: 1,
                 client_id: 7,
                 participation_id: 9
@@ -371,6 +344,6 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn non_finite_time_rejected() {
         let mut q = EventQueue::new();
-        q.schedule(f64::NAN, EventKind::Evaluate);
+        q.schedule(f64::NAN, EventKind::Evaluate { task: 0 });
     }
 }

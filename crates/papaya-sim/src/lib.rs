@@ -14,14 +14,13 @@
 //!   stays sequential, so reports are bit-identical at any thread count;
 //! * [`scenario`] — the unified entrypoint: one [`Scenario`] builder
 //!   composing tasks, population, fleet size, crash schedule, eval policy,
-//!   and seed, returning one [`Report`] for every workload shape;
-//! * [`engine`] — the legacy single-task front-end, a thin shim over
-//!   [`scenario`];
+//!   and seed, driven by one event loop and returning one [`Report`] for
+//!   every workload shape;
 //! * [`metrics`] — traces and summary statistics (utilization, communication
 //!   trips, server updates per hour, participation distributions);
 //! * [`task_runtime`] — per-task server-side state (model, optimizer, a
 //!   `Box<dyn Aggregator>` strategy, in-flight participations, per-task
-//!   metrics) shared by both scenario paths;
+//!   metrics), one per task of a run;
 //! * [`cluster`] — the control plane: Coordinator, Selectors, persistent
 //!   Aggregators, task assignment, heartbeats, and failure recovery
 //!   (Sections 4, 6 and Appendix E.4);
@@ -29,13 +28,8 @@
 //!   service: an append-only event log with checkpoint/replay restore, a
 //!   reconciliation pass that re-places orphaned and pending tasks, and a
 //!   Prometheus-style counter surface;
-//! * [`multi_task`] — the legacy multi-tenant front-end, a thin shim over
-//!   [`scenario`]'s fleet path (Sections 4, 6.2–6.3, Appendix E.4);
 //! * [`sampling`] — O(1) uniform sampling of free devices from a shared,
-//!   possibly saturated population;
-//! * [`client_runtime`] — the on-device runtime: eligibility criteria (idle,
-//!   charging, unmetered network), the example store with its retention
-//!   policy, and participation-history throttling (Section 4, Appendix E.5).
+//!   possibly saturated population.
 //!
 //! # Example
 //!
@@ -56,25 +50,20 @@
 //! assert!(report.tasks[0].server_updates() > 0);
 //! ```
 
-pub mod client_runtime;
 pub mod cluster;
 pub mod control_plane;
-pub mod engine;
 pub mod events;
 pub mod executor;
 pub mod metrics;
-pub mod multi_task;
 pub mod sampling;
 pub mod scenario;
 pub mod task_runtime;
 
 pub use control_plane::{ControlEvent, ControlPlaneService, Correction, EventLog, FleetStatus};
-pub use engine::{Simulation, SimulationConfig, SimulationResult};
 pub use executor::{Executor, ExecutorStats, Parallelism};
 pub use metrics::{
     ControlPlaneStats, FleetSummary, MetricsSummary, ParticipationRecord, TaskSummary,
 };
-pub use multi_task::{MultiTaskConfig, MultiTaskResult, MultiTaskSimulation};
 pub use scenario::{
     EvalPolicy, FleetSpec, InjectedCrash, Report, RunLimits, Scenario, ScenarioBuilder, StopReason,
     TaskReport, TierPolicy,

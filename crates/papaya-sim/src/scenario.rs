@@ -1,24 +1,22 @@
 //! The unified simulation entrypoint: one builder for every workload shape.
 //!
-//! Historically the crate had two front-ends — a single-task `Simulation`
-//! and a multi-tenant `MultiTaskSimulation` — with duplicated config
-//! builders, run loops, and result types.  A [`Scenario`] subsumes both: it
-//! composes tasks, a shared device population, an optional control-plane
-//! fleet (Aggregators/Selectors), a crash schedule, run limits, an
-//! evaluation policy, and a seed, and returns one unified [`Report`]
-//! (per-task [`TaskReport`]s plus a fleet roll-up).  The old front-ends
-//! survive as thin shims over `Scenario`.
+//! A [`Scenario`] composes tasks, a shared device population, an optional
+//! control-plane fleet (Aggregators/Selectors), a crash schedule, run
+//! limits, an evaluation policy, and a seed, and returns one unified
+//! [`Report`] (per-task [`TaskReport`]s plus a fleet roll-up).  Every shape
+//! runs through the same event loop, the same event dispatch, and the same
+//! per-task [`TaskRuntime`]s; the fleet only adds a control plane.
 //!
-//! Two execution shapes:
-//!
-//! * **Direct** (no [`FleetSpec`]): exactly one task, driven straight off
-//!   the event queue — selection, dropouts, timeouts, evaluation.  This is
-//!   the configuration behind every single-task figure of the paper.
-//! * **Fleet** (with a [`FleetSpec`]): any number of tasks placed on
-//!   persistent Aggregators by the Coordinator, devices routed through
-//!   Selectors by capability tier, injectable Aggregator crashes with
-//!   buffered-update loss and task reassignment (Sections 4, 6.2–6.3,
-//!   Appendix E.4).
+//! * **Fleet-less** (no [`FleetSpec`]): exactly one task, with no control
+//!   plane — freed slots are refilled at once by uniform selection, and
+//!   dropouts, timeouts, and evaluation are driven straight off the event
+//!   queue.  This is the configuration behind every single-task figure of
+//!   the paper.
+//! * **With a fleet** ([`ScenarioBuilder::fleet`]): any number of tasks
+//!   placed on persistent Aggregators by the Coordinator, devices checking
+//!   in at control-plane ticks and routed through Selectors by capability
+//!   tier, injectable Aggregator crashes with buffered-update loss and task
+//!   reassignment (Sections 4, 6.2–6.3, Appendix E.4).
 //!
 //! # Quickstart
 //!
@@ -49,7 +47,7 @@ use crate::metrics::{
     ControlPlaneStats, FleetSummary, MetricsCollector, MetricsSummary, TaskSummary,
 };
 use crate::sampling::{SamplingPool, DEFAULT_SHARD_CAPACITY};
-use crate::task_runtime::{ServerOptimizerKind, TaskRuntime};
+use crate::task_runtime::{FreedClient, ServerOptimizerKind, TaskRuntime, UpdateOutcome};
 use papaya_core::adversary::AdversarySpec;
 use papaya_core::client::ClientTrainer;
 use papaya_core::config::{SecAggMode, TaskConfig, TrainingMode};
@@ -394,7 +392,7 @@ pub struct Report {
     /// Per-task end-of-run reports, in task order.
     pub tasks: Vec<TaskReport>,
     /// Cross-task roll-up including control-plane counters (zeroed for
-    /// direct, fleet-less runs).
+    /// fleet-less runs).
     pub fleet: FleetSummary,
 }
 
@@ -436,7 +434,7 @@ fn hash_decimation<T>(h: &mut Fnv, trace: &DecimatedTrace<T>) {
 }
 
 impl Report {
-    /// The report of the only task of a direct scenario.
+    /// The report of the only task of a fleet-less scenario.
     ///
     /// # Panics
     ///
@@ -622,7 +620,6 @@ pub struct Scenario {
     limits: RunLimits,
     eval: EvalPolicy,
     tier_policy: TierPolicy,
-    selection_latency_s: f64,
     utilization_sample_interval_s: f64,
     server_optimizer: ServerOptimizerKind,
     seed: u64,
@@ -640,7 +637,6 @@ pub struct ScenarioBuilder {
     limits: RunLimits,
     eval: EvalPolicy,
     tier_policy: TierPolicy,
-    selection_latency_s: f64,
     utilization_sample_interval_s: f64,
     server_optimizer: ServerOptimizerKind,
     secagg_override: Option<SecAggMode>,
@@ -663,7 +659,6 @@ impl Default for ScenarioBuilder {
             limits: RunLimits::default(),
             eval: EvalPolicy::default(),
             tier_policy: TierPolicy::default(),
-            selection_latency_s: 2.0,
             utilization_sample_interval_s: 60.0,
             server_optimizer: ServerOptimizerKind::FedAvg,
             secagg_override: None,
@@ -697,7 +692,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables the control-plane fleet path: tasks are placed on persistent
+    /// Adds a control-plane fleet: tasks are placed on persistent
     /// Aggregators and clients routed through Selectors.
     pub fn fleet(mut self, fleet: FleetSpec) -> Self {
         self.fleet = Some(fleet);
@@ -755,13 +750,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the delay between a client being selected and starting to train.
-    pub fn selection_latency_s(mut self, latency_s: f64) -> Self {
-        self.selection_latency_s = latency_s;
-        self
-    }
-
-    /// Sets the utilization sampler interval (direct scenarios).
+    /// Sets the utilization sampler interval (fleet-less scenarios).
     pub fn utilization_sample_interval_s(mut self, interval_s: f64) -> Self {
         self.utilization_sample_interval_s = interval_s;
         self
@@ -840,10 +829,13 @@ impl ScenarioBuilder {
     /// one, no tasks, more than one task (or injected crashes/recoveries,
     /// or a control-plane restore) without a fleet, a fleet without
     /// Aggregators or Selectors, a heartbeat timeout not exceeding the
-    /// control-plane interval, a non-finite restore time, or a task config
-    /// the pipeline would not honor (a non-positive/non-finite client
-    /// timeout, or a capability-tier restriction without a fleet to
-    /// enforce it).
+    /// control-plane interval, a negative or non-finite crash, recovery, or
+    /// restore time, a periodic interval (evaluation, utilization
+    /// sampling, control-plane sweep, Selector refresh) that is not
+    /// positive and finite — the run would loop forever at one instant or
+    /// schedule an event at a non-finite time — or a task config the
+    /// pipeline would not honor (a non-positive/non-finite client timeout,
+    /// or a capability-tier restriction without a fleet to enforce it).
     pub fn build(mut self) -> Scenario {
         // papaya-lint: allow(panic-hygiene) -- documented builder contract: build() panics without a population (see doc comment)
         let population = self.population.expect("a population is required");
@@ -873,18 +865,38 @@ impl ScenarioBuilder {
             validate_task_config(task, self.fleet.is_some());
         }
         validate_run_limits(&self.limits);
+        assert_interval("eval interval_s", self.eval.interval_s);
+        assert_interval(
+            "utilization_sample_interval_s",
+            self.utilization_sample_interval_s,
+        );
         if let Some(fleet) = &self.fleet {
             assert!(fleet.aggregators > 0, "at least one aggregator is required");
             assert!(fleet.selectors > 0, "at least one selector is required");
+            assert_interval(
+                "fleet control_plane_interval_s",
+                fleet.control_plane_interval_s,
+            );
+            assert_interval(
+                "fleet selector_refresh_interval_s",
+                fleet.selector_refresh_interval_s,
+            );
             assert!(
                 fleet.heartbeat_timeout_s > fleet.control_plane_interval_s,
                 "heartbeat timeout must exceed the control-plane interval"
             );
+            let injected = self.crashes.iter().map(|c| c.time_s);
+            for time_s in injected.chain(self.recoveries.iter().map(|r| r.time_s)) {
+                assert!(
+                    time_s.is_finite() && time_s >= 0.0,
+                    "injected crash and recovery times must be finite and non-negative, got {time_s}"
+                );
+            }
         } else {
             assert_eq!(
                 self.tasks.len(),
                 1,
-                "direct (fleet-less) scenarios drive exactly one task; configure a fleet for multi-task runs"
+                "fleet-less scenarios drive exactly one task; configure a fleet for multi-task runs"
             );
             assert!(
                 self.crashes.is_empty(),
@@ -933,12 +945,21 @@ impl ScenarioBuilder {
             limits: self.limits,
             eval: self.eval,
             tier_policy: self.tier_policy,
-            selection_latency_s: self.selection_latency_s,
             utilization_sample_interval_s: self.utilization_sample_interval_s,
             server_optimizer: self.server_optimizer,
             seed,
         }
     }
+}
+
+/// Rejects a periodic interval the run loop could not advance past: zero
+/// or negative reschedules the event at the same instant forever, and a
+/// non-finite one cannot be scheduled at all.
+fn assert_interval(field: &str, interval_s: f64) {
+    assert!(
+        interval_s.is_finite() && interval_s > 0.0,
+        "{field} must be positive and finite, got {interval_s}"
+    );
 }
 
 /// The single choke point where a scenario acknowledges every `TaskConfig`
@@ -950,9 +971,9 @@ impl ScenarioBuilder {
 /// # Panics
 ///
 /// Panics on a config the pipeline would *not* honor: a non-positive or
-/// non-finite client timeout, or a capability-tier restriction on a direct
-/// (fleet-less) scenario, whose uniform selection has no Selector to
-/// enforce tiers.
+/// non-finite client timeout, or a capability-tier restriction on a
+/// fleet-less scenario, whose uniform selection has no Selector to enforce
+/// tiers.
 fn validate_task_config(task: &TaskConfig, has_fleet: bool) {
     let TaskConfig {
         name: _,               // report labels
@@ -1001,7 +1022,7 @@ fn validate_task_config(task: &TaskConfig, has_fleet: bool) {
     assert!(
         *min_capability_tier == 0 || has_fleet,
         "task {:?}: min_capability_tier is enforced by Selector routing and \
-         requires a fleet; direct scenarios select devices uniformly and \
+         requires a fleet; fleet-less scenarios select devices uniformly and \
          would silently ignore it",
         task.name
     );
@@ -1015,14 +1036,14 @@ fn validate_task_config(task: &TaskConfig, has_fleet: bool) {
 ///
 /// # Panics
 ///
-/// Panics on limits the run loops would not honor: a non-positive or
+/// Panics on limits the run loop would not honor: a non-positive or
 /// non-finite virtual-time budget, a zero client-update budget, or a
 /// non-finite target loss.
 fn validate_run_limits(limits: &RunLimits) {
     let RunLimits {
-        max_virtual_time_s,      // hard stop in both run loops
-        max_client_updates,      // checked on every (Task)ClientFinished
-        target_loss,             // checked on every Evaluate(Task)
+        max_virtual_time_s,      // hard stop of the run loop
+        max_client_updates,      // checked on every ClientFinished
+        target_loss,             // checked on every Evaluate
         parallelism: _,          // executor pool size; any value is honored
         trace_budget: _,         // validated at construction by TraceBudget::bounded
         sampling_shard_capacity, // must be able to hold at least one id
@@ -1065,15 +1086,12 @@ impl Scenario {
     /// bit-identical either way.
     pub fn run(&self) -> Report {
         let executor = Executor::from_parallelism(self.limits.parallelism);
-        match &self.fleet {
-            None => DirectState::new(self, executor).run(),
-            Some(fleet) => FleetState::new(self, fleet, executor).run(),
-        }
+        RunState::new(self, executor).run()
     }
 
     /// The fleet's initial placement as the control plane would report it at
     /// time zero: per-Aggregator liveness and load, pending tasks, and the
-    /// assignment-map sequence.  Returns `None` for direct (fleet-less)
+    /// assignment-map sequence.  Returns `None` for fleet-less
     /// scenarios, which have no control plane.
     pub fn fleet_status(&self) -> Option<FleetStatus> {
         let fleet = self.fleet.as_ref()?;
@@ -1134,306 +1152,15 @@ fn roll_up(virtual_hours: f64, tasks: &[TaskReport], stats: ControlPlaneStats) -
 }
 
 // ---------------------------------------------------------------------------
-// Direct path: one task driven straight off the event queue.
+// The run loop: one event loop for every scenario shape.
 // ---------------------------------------------------------------------------
 
-struct DirectState<'a> {
-    scenario: &'a Scenario,
-    rng: StdRng,
-    queue: EventQueue,
-    runtime: TaskRuntime,
-    pool: SamplingPool,
-    next_participation_id: u64,
-    /// Latest aggregation deadline an `AggregatorDeadline` event has been
-    /// scheduled for (deadline strategies only; deadlines only move
-    /// forward, so one value suffices).
-    scheduled_deadline: Option<f64>,
-    now: SimTime,
-}
-
-impl<'a> DirectState<'a> {
-    fn new(scenario: &'a Scenario, executor: Option<Arc<Executor>>) -> Self {
-        let mut rng = StdRng::seed_from_u64(scenario.seed);
-        // Fixed evaluation sample.
-        let eval_ids = sample_eval_ids(
-            &mut rng,
-            scenario.population.len(),
-            scenario.eval.sample_size,
-        );
-        let mut runtime = TaskRuntime::new(
-            scenario.tasks[0].clone(),
-            scenario.server_optimizer,
-            Arc::clone(&scenario.trainers[0]),
-            eval_ids,
-            scenario.seed,
-            scenario.limits.target_loss,
-        );
-        runtime.set_executor(executor);
-        runtime.set_trace_budget(scenario.limits.trace_budget);
-        DirectState {
-            scenario,
-            rng,
-            queue: EventQueue::new(),
-            runtime,
-            pool: SamplingPool::with_shard_capacity(
-                scenario.population.len(),
-                scenario.limits.sampling_shard_capacity,
-            ),
-            next_participation_id: 0,
-            scheduled_deadline: None,
-            now: 0.0,
-        }
-    }
-
-    /// Schedules an exact readiness check when the aggregator reports a new
-    /// deadline (a buffer opened or reopened).  No-op for count-based
-    /// strategies, which never report one.
-    fn schedule_deadline_check(&mut self) {
-        if let Some(deadline) = self.runtime.next_deadline_s() {
-            if self.scheduled_deadline != Some(deadline) {
-                self.scheduled_deadline = Some(deadline);
-                self.queue.schedule(
-                    deadline.max(self.now),
-                    EventKind::AggregatorDeadline { task: 0 },
-                );
-            }
-        }
-    }
-
-    fn run(mut self) -> Report {
-        self.fill_demand();
-        self.queue.schedule(0.0, EventKind::Evaluate);
-        self.queue.schedule(0.0, EventKind::SampleUtilization);
-
-        let limits = self.scenario.limits;
-        let mut stop_reason = StopReason::MaxVirtualTime;
-        let mut events_processed = 0u64;
-        while let Some(event) = self.queue.pop() {
-            if event.time > limits.max_virtual_time_s {
-                stop_reason = StopReason::MaxVirtualTime;
-                self.now = limits.max_virtual_time_s;
-                break;
-            }
-            self.now = event.time;
-            events_processed += 1;
-            match event.kind {
-                EventKind::ClientFinished {
-                    client_id,
-                    participation_id,
-                } => {
-                    self.handle_client_finished(client_id, participation_id);
-                    if let Some(max) = limits.max_client_updates {
-                        if self.runtime.metrics().comm_trips >= max {
-                            stop_reason = StopReason::MaxClientUpdates;
-                            break;
-                        }
-                    }
-                }
-                EventKind::ClientFailed {
-                    client_id: _,
-                    participation_id,
-                } => {
-                    if let Some(freed_client) = self.runtime.client_failed(participation_id) {
-                        self.pool.release(freed_client);
-                        self.fill_demand();
-                    }
-                }
-                EventKind::Evaluate => {
-                    self.runtime.evaluate(self.now);
-                    if self.runtime.target_reached() {
-                        stop_reason = StopReason::TargetLossReached;
-                        break;
-                    }
-                    self.queue.schedule(
-                        self.now + self.scenario.eval.interval_s,
-                        EventKind::Evaluate,
-                    );
-                }
-                EventKind::SampleUtilization => {
-                    self.runtime.record_utilization(self.now);
-                    self.queue.schedule(
-                        self.now + self.scenario.utilization_sample_interval_s,
-                        EventKind::SampleUtilization,
-                    );
-                }
-                EventKind::AggregatorDeadline { task: _ } => {
-                    // Exact timed release; a stale check (the buffer closed
-                    // or moved since scheduling) polls as a no-op.
-                    if let Some(outcome) = self.runtime.poll(self.now) {
-                        if outcome.tsa_key_released {
-                            self.queue
-                                .schedule(self.now, EventKind::TsaKeyRelease { task: 0 });
-                        }
-                        if outcome.dp_released {
-                            self.queue
-                                .schedule(self.now, EventKind::DpRelease { task: 0 });
-                        }
-                        if outcome.robust_released {
-                            self.queue
-                                .schedule(self.now, EventKind::RobustRelease { task: 0 });
-                        }
-                        for freed in &outcome.freed {
-                            self.pool.release(freed.client_id);
-                        }
-                        self.fill_demand();
-                    }
-                }
-                EventKind::TsaKeyRelease { task: _ } => {
-                    // The TSA unmasked the buffer that just closed; refresh
-                    // the task's secure-aggregation metrics from the
-                    // aggregator's telemetry.
-                    self.runtime.sync_secure_telemetry();
-                }
-                EventKind::DpRelease { task: _ } => {
-                    // A noised aggregate was published and composed into the
-                    // cumulative ε; refresh the DP metrics and enforce the
-                    // privacy budget.
-                    self.runtime.sync_dp_telemetry();
-                    if self.runtime.privacy_budget_exhausted() {
-                        stop_reason = StopReason::PrivacyBudgetExhausted;
-                        break;
-                    }
-                }
-                EventKind::RobustRelease { task: _ } => {
-                    // A defense-mediated release went out; refresh the
-                    // robustness metrics from the aggregator's telemetry.
-                    self.runtime.sync_robust_telemetry();
-                }
-                // Fleet-plane events, listed explicitly so a new
-                // `EventKind` variant is a compile error in this match.
-                EventKind::TaskClientFinished { .. }
-                | EventKind::TaskClientFailed { .. }
-                | EventKind::EvaluateTask { .. }
-                | EventKind::ControlPlaneTick
-                | EventKind::RefreshSelectors
-                | EventKind::AggregatorCrash { .. }
-                | EventKind::AggregatorRecover { .. }
-                | EventKind::ReconcileTick => {
-                    unreachable!("direct scenarios schedule no fleet events")
-                }
-            }
-            self.schedule_deadline_check();
-        }
-
-        // Final evaluation so `final_loss` reflects the last model.
-        self.runtime.evaluate(self.now);
-
-        let virtual_hours = self.now / 3600.0;
-        let name = self.runtime.config().name.clone();
-        let report = task_report(0, name, 0, self.runtime, self.now);
-        let fleet = roll_up(
-            virtual_hours,
-            std::slice::from_ref(&report),
-            ControlPlaneStats::default(),
-        );
-        Report {
-            stop_reason,
-            virtual_hours,
-            events_processed,
-            tasks: vec![report],
-            fleet,
-        }
-    }
-
-    fn fill_demand(&mut self) {
-        let demand = self.runtime.demand();
-        for _ in 0..demand {
-            if !self.select_one_client() {
-                break; // population exhausted
-            }
-        }
-        self.runtime.record_utilization(self.now);
-    }
-
-    /// Selects one idle device uniformly at random; returns false when every
-    /// device is already participating.
-    fn select_one_client(&mut self) -> bool {
-        let client_id = match self.pool.acquire_random(&mut self.rng) {
-            Some(id) => id,
-            None => return false,
-        };
-        let device = self.scenario.population.device(client_id);
-        let participation_id = self.next_participation_id;
-        self.next_participation_id += 1;
-
-        let timeout = self.runtime.config().client_timeout_s;
-        let start = self.now + self.scenario.selection_latency_s;
-        let drops_out = self.rng.gen::<f64>() < device.dropout_prob;
-        let exceeds_timeout = device.exceeds_timeout(timeout);
-        let execution_time = device.clamped_execution_time(timeout);
-
-        self.runtime
-            .begin_participation(participation_id, client_id, execution_time);
-
-        if drops_out {
-            // The client fails partway through its (clamped) execution.
-            let fraction: f64 = self.rng.gen_range(0.05..0.95);
-            self.queue.schedule(
-                start + fraction * execution_time,
-                EventKind::ClientFailed {
-                    client_id,
-                    participation_id,
-                },
-            );
-        } else if exceeds_timeout {
-            // The client is aborted at the timeout.
-            self.queue.schedule(
-                start + timeout,
-                EventKind::ClientFailed {
-                    client_id,
-                    participation_id,
-                },
-            );
-        } else {
-            self.queue.schedule(
-                start + execution_time,
-                EventKind::ClientFinished {
-                    client_id,
-                    participation_id,
-                },
-            );
-            // This participation will reach its finish event: start its
-            // local training on the worker pool now (no-op sequentially).
-            self.runtime.prefetch_training(participation_id);
-        }
-        true
-    }
-
-    fn handle_client_finished(&mut self, client_id: usize, participation_id: u64) {
-        let outcome = match self.runtime.offer_update(participation_id, self.now) {
-            Some(outcome) => outcome,
-            None => return, // aborted earlier (round ended or staleness abort)
-        };
-        if outcome.tsa_key_released {
-            self.queue
-                .schedule(self.now, EventKind::TsaKeyRelease { task: 0 });
-        }
-        if outcome.dp_released {
-            self.queue
-                .schedule(self.now, EventKind::DpRelease { task: 0 });
-        }
-        if outcome.robust_released {
-            self.queue
-                .schedule(self.now, EventKind::RobustRelease { task: 0 });
-        }
-        self.pool.release(client_id);
-        for freed in &outcome.freed {
-            self.pool.release(freed.client_id);
-        }
-        if outcome.round_ended {
-            self.runtime.record_utilization(self.now);
-        }
-        self.fill_demand();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet path: tasks on persistent Aggregators behind the control plane.
-// ---------------------------------------------------------------------------
+/// Virtual seconds between a client being selected and starting to train.
+const SELECTION_LATENCY_S: f64 = 2.0;
 
 /// The control plane as of t=0: Coordinator created from the scenario
 /// seed, Aggregators registered, tasks submitted in id order.  Shared by
-/// [`FleetState::new`] and [`Scenario::fleet_status`] so the preview and
+/// [`FleetPlane::new`] and [`Scenario::fleet_status`] so the preview and
 /// the run agree on initial placement.
 fn initial_control_plane(scenario: &Scenario, fleet: &FleetSpec) -> ControlPlaneService {
     let mut service = ControlPlaneService::new(fleet.heartbeat_timeout_s, scenario.seed ^ 0xC0FFEE);
@@ -1446,60 +1173,33 @@ fn initial_control_plane(scenario: &Scenario, fleet: &FleetSpec) -> ControlPlane
     service
 }
 
-struct FleetState<'a> {
-    scenario: &'a Scenario,
-    fleet: &'a FleetSpec,
-    rng: StdRng,
-    queue: EventQueue,
-    runtimes: Vec<TaskRuntime>,
+/// The control-plane side of a fleet run: tasks on persistent Aggregators
+/// behind the Coordinator, devices routed through Selectors by capability
+/// tier, injected Aggregator failures, and failover bookkeeping.  A
+/// fleet-less run has none.
+struct FleetPlane {
+    fleet: FleetSpec,
     service: ControlPlaneService,
     selectors: Vec<Selector>,
     selector_cursor: usize,
     crashed: BTreeSet<AggregatorId>,
-    pool: SamplingPool,
     tiers: Vec<u8>,
     /// Aggregator each in-flight participation will upload to (the route
     /// the client received at selection time).
     upload_route: BTreeMap<u64, AggregatorId>,
-    next_participation_id: u64,
     reassignments: Vec<u64>,
-    /// Latest aggregation deadline an `AggregatorDeadline` event has been
-    /// scheduled for, per task (deadline strategies only).
-    scheduled_deadlines: Vec<Option<f64>>,
     stats: ControlPlaneStats,
     /// Whether a [`EventKind::ReconcileTick`] is already queued (the pass
     /// is scheduled at most once per divergence episode).
     reconcile_scheduled: bool,
-    /// Whether the injected control-plane restore already happened.
-    restored: bool,
-    now: SimTime,
+    /// Virtual time of the injected control-plane restore, until it
+    /// happens.
+    pending_restore_s: Option<f64>,
 }
 
-impl<'a> FleetState<'a> {
-    fn new(scenario: &'a Scenario, fleet: &'a FleetSpec, executor: Option<Arc<Executor>>) -> Self {
-        let mut rng = StdRng::seed_from_u64(scenario.seed);
-        let service = initial_control_plane(scenario, fleet);
-        let mut runtimes = Vec::with_capacity(scenario.tasks.len());
-        for (task_id, task) in scenario.tasks.iter().enumerate() {
-            let eval_ids = sample_eval_ids(
-                &mut rng,
-                scenario.population.len(),
-                scenario.eval.sample_size,
-            );
-            let mut runtime = TaskRuntime::new(
-                task.clone(),
-                scenario.server_optimizer,
-                Arc::clone(&scenario.trainers[task_id]),
-                eval_ids,
-                scenario.seed ^ ((task_id as u64 + 1) << 32),
-                scenario.limits.target_loss,
-            );
-            // All runtimes share one pool; participation ids are unique
-            // across tasks, so jobs never collide.
-            runtime.set_executor(executor.clone());
-            runtime.set_trace_budget(scenario.limits.trace_budget);
-            runtimes.push(runtime);
-        }
+impl FleetPlane {
+    fn new(scenario: &Scenario, fleet: FleetSpec) -> Self {
+        let service = initial_control_plane(scenario, &fleet);
         let mut selectors = vec![Selector::new(); fleet.selectors];
         for selector in &mut selectors {
             selector.refresh(service.coordinator());
@@ -1509,28 +1209,194 @@ impl<'a> FleetState<'a> {
             .iter()
             .map(|device| scenario.tier_policy.tier(&device))
             .collect();
-        FleetState {
-            scenario,
+        FleetPlane {
             fleet,
-            rng,
-            queue: EventQueue::new(),
-            runtimes,
             service,
             selectors,
             selector_cursor: 0,
             crashed: BTreeSet::new(),
+            tiers,
+            upload_route: BTreeMap::new(),
+            reassignments: vec![0; scenario.tasks.len()],
+            stats: ControlPlaneStats::default(),
+            reconcile_scheduled: false,
+            pending_restore_s: scenario.control_plane_restore_s,
+        }
+    }
+
+    /// If the scenario asks for a mid-run control-plane restore, throw away
+    /// the live service state at the first control tick past the requested
+    /// time and rebuild it from (checkpoint + log suffix).  Deliberately
+    /// in-band (not an event): a restore must not change the event count,
+    /// because its whole point is proving the run is bit-identical with and
+    /// without it.
+    fn maybe_restore(&mut self, now: SimTime) {
+        if self.pending_restore_s.is_some_and(|at_s| now >= at_s) {
+            self.pending_restore_s = None;
+            self.service.restore_from_checkpoint();
+            self.stats.coordinator_restores += 1;
+        }
+    }
+
+    /// A device checks in: the Coordinator assigns it to an eligible task
+    /// and the next Selector routes it.  Returns the task and its
+    /// Aggregator, or `None` when the device must retry later (no eligible
+    /// task with demand, a stale Selector map, or a dead Aggregator).
+    fn check_in(&mut self, client_id: usize) -> Option<(usize, AggregatorId)> {
+        let (task, aggregator) = self.service.assign_client(self.tiers[client_id])?;
+        let selector_index = self.selector_cursor % self.selectors.len();
+        self.selector_cursor += 1;
+        let selector = &self.selectors[selector_index];
+
+        // A Selector whose map sequence is behind the Coordinator's refuses
+        // to route and asks the client to retry while it refreshes.
+        if selector.is_stale(self.service.coordinator()) {
+            self.stats.stale_route_refusals += 1;
+            return None;
+        }
+        match selector.route(task) {
+            RouteOutcome::StaleMap => {
+                self.stats.stale_route_refusals += 1;
+                None
+            }
+            // The connection to a dead Aggregator fails outright; the
+            // client retries at a later check-in.
+            RouteOutcome::Routed(routed) => (!self.crashed.contains(&routed)
+                && routed == aggregator)
+                .then_some((task, aggregator)),
+        }
+    }
+
+    fn refresh_selectors(&mut self, queue: &mut EventQueue, now: SimTime) {
+        for selector in &mut self.selectors {
+            if selector.is_stale(self.service.coordinator()) {
+                selector.refresh(self.service.coordinator());
+            }
+        }
+        queue.schedule(
+            now + self.fleet.selector_refresh_interval_s,
+            EventKind::RefreshSelectors,
+        );
+    }
+
+    /// An injected Aggregator recovery: the process comes back, heartbeats
+    /// immediately (register-or-refresh), and any orphaned or pending tasks
+    /// are re-placed by the reconcile pass the heartbeat makes possible.
+    fn recover(&mut self, aggregator: AggregatorId, queue: &mut EventQueue, now: SimTime) {
+        if self.crashed.remove(&aggregator) {
+            self.stats.aggregator_recoveries += 1;
+            self.service.heartbeat(aggregator, now);
+            self.maybe_schedule_reconcile(queue, now);
+        }
+    }
+
+    /// A reconciliation pass: diff desired placement (every task routed to a
+    /// healthy Aggregator) against actual routes and correct divergence.
+    /// Re-placing an orphan counts as a reassignment; first placement of a
+    /// pending task does not.
+    fn reconcile(&mut self, now: SimTime) {
+        self.reconcile_scheduled = false;
+        for correction in self.service.reconcile(now) {
+            if correction.was_placed {
+                self.reassignments[correction.task] += 1;
+                self.stats.task_reassignments += 1;
+            }
+        }
+    }
+
+    /// Schedules a reconcile pass at the current instant iff one would do
+    /// work and none is already queued.  Scenarios whose placement never
+    /// diverges therefore process no extra events — a property the pinned
+    /// historical fingerprints depend on.
+    fn maybe_schedule_reconcile(&mut self, queue: &mut EventQueue, now: SimTime) {
+        if !self.reconcile_scheduled && self.service.needs_reconciliation() {
+            self.reconcile_scheduled = true;
+            queue.schedule(now, EventKind::ReconcileTick);
+        }
+    }
+
+    /// The end-of-run per-task reassignment counts and control-plane stats.
+    fn into_outcome(mut self) -> (Vec<u64>, ControlPlaneStats) {
+        self.stats.final_map_sequence = self.service.coordinator().sequence();
+        let counters = self.service.counters();
+        self.stats.heartbeats = counters.heartbeats;
+        self.stats.tasks_placed = counters.tasks_placed;
+        self.stats.tasks_orphaned = counters.tasks_orphaned;
+        self.stats.tasks_reconciled = counters.tasks_reconciled;
+        self.stats.pending_task_submissions = counters.pending_task_submissions;
+        self.stats.unknown_heartbeat_registrations = counters.unknown_heartbeat_registrations;
+        self.stats.control_log_events = self.service.log().len();
+        self.stats.checkpoints_taken = self.service.checkpoints_taken();
+        self.stats.checkpoint_age_events = self.service.checkpoint_age_events();
+        (self.reassignments, self.stats)
+    }
+}
+
+/// The state of one scenario run.  Without a fleet (`plane == None`) the
+/// run drives its single task straight off the event queue: freed slots
+/// are refilled eagerly by uniform selection and utilization is sampled
+/// periodically.  With a fleet, devices check in at every
+/// [`EventKind::ControlPlaneTick`] and are routed through the plane.
+struct RunState<'a> {
+    scenario: &'a Scenario,
+    rng: StdRng,
+    queue: EventQueue,
+    runtimes: Vec<TaskRuntime>,
+    pool: SamplingPool,
+    next_participation_id: u64,
+    /// Latest aggregation deadline an `AggregatorDeadline` event has been
+    /// scheduled for, per task (deadline strategies only; deadlines only
+    /// move forward, so one value per task suffices).
+    scheduled_deadlines: Vec<Option<f64>>,
+    plane: Option<FleetPlane>,
+    now: SimTime,
+}
+
+impl<'a> RunState<'a> {
+    fn new(scenario: &'a Scenario, executor: Option<Arc<Executor>>) -> Self {
+        let mut rng = StdRng::seed_from_u64(scenario.seed);
+        let plane = scenario.fleet.map(|fleet| FleetPlane::new(scenario, fleet));
+        let mut runtimes = Vec::with_capacity(scenario.tasks.len());
+        for (task_id, task) in scenario.tasks.iter().enumerate() {
+            // Fixed evaluation sample, drawn per task in task order.
+            let eval_ids = sample_eval_ids(
+                &mut rng,
+                scenario.population.len(),
+                scenario.eval.sample_size,
+            );
+            // Fleet tasks never share a stream; the fleet-less task keeps
+            // the scenario seed itself (see docs/DETERMINISM.md).
+            let runtime_seed = if plane.is_some() {
+                scenario.seed ^ ((task_id as u64 + 1) << 32)
+            } else {
+                scenario.seed
+            };
+            let mut runtime = TaskRuntime::new(
+                task.clone(),
+                scenario.server_optimizer,
+                Arc::clone(&scenario.trainers[task_id]),
+                eval_ids,
+                runtime_seed,
+                scenario.limits.target_loss,
+            );
+            // All runtimes share one pool; participation ids are unique
+            // across tasks, so jobs never collide.
+            runtime.set_executor(executor.clone());
+            runtime.set_trace_budget(scenario.limits.trace_budget);
+            runtimes.push(runtime);
+        }
+        RunState {
+            scenario,
+            rng,
+            queue: EventQueue::new(),
             pool: SamplingPool::with_shard_capacity(
                 scenario.population.len(),
                 scenario.limits.sampling_shard_capacity,
             ),
-            tiers,
-            upload_route: BTreeMap::new(),
             next_participation_id: 0,
-            reassignments: vec![0; scenario.tasks.len()],
-            scheduled_deadlines: vec![None; scenario.tasks.len()],
-            stats: ControlPlaneStats::default(),
-            reconcile_scheduled: false,
-            restored: false,
+            scheduled_deadlines: vec![None; runtimes.len()],
+            runtimes,
+            plane,
             now: 0.0,
         }
     }
@@ -1556,31 +1422,50 @@ impl<'a> FleetState<'a> {
         }
     }
 
+    /// The events at t=0.  Their order fixes the sequence numbers that
+    /// break same-instant ties, so each shape keeps its own: fleet-less
+    /// runs select the first clients, then evaluate and sample
+    /// utilization; fleet runs tick the control plane, schedule the first
+    /// Selector refresh, evaluate every task, then inject crashes and
+    /// recoveries.
+    fn schedule_initial_events(&mut self) {
+        match self.scenario.fleet {
+            None => {
+                self.fill_demand();
+                self.queue.schedule(0.0, EventKind::Evaluate { task: 0 });
+                self.queue.schedule(0.0, EventKind::SampleUtilization);
+            }
+            Some(fleet) => {
+                self.queue.schedule(0.0, EventKind::ControlPlaneTick);
+                self.queue.schedule(
+                    fleet.selector_refresh_interval_s,
+                    EventKind::RefreshSelectors,
+                );
+                for task in 0..self.runtimes.len() {
+                    self.queue.schedule(0.0, EventKind::Evaluate { task });
+                }
+                for crash in &self.scenario.crashes {
+                    self.queue.schedule(
+                        crash.time_s,
+                        EventKind::AggregatorCrash {
+                            aggregator: crash.aggregator,
+                        },
+                    );
+                }
+                for recovery in &self.scenario.recoveries {
+                    self.queue.schedule(
+                        recovery.time_s,
+                        EventKind::AggregatorRecover {
+                            aggregator: recovery.aggregator,
+                        },
+                    );
+                }
+            }
+        }
+    }
+
     fn run(mut self) -> Report {
-        self.queue.schedule(0.0, EventKind::ControlPlaneTick);
-        self.queue.schedule(
-            self.fleet.selector_refresh_interval_s,
-            EventKind::RefreshSelectors,
-        );
-        for task in 0..self.runtimes.len() {
-            self.queue.schedule(0.0, EventKind::EvaluateTask { task });
-        }
-        for crash in &self.scenario.crashes {
-            self.queue.schedule(
-                crash.time_s,
-                EventKind::AggregatorCrash {
-                    aggregator: crash.aggregator,
-                },
-            );
-        }
-        for recovery in &self.scenario.recoveries {
-            self.queue.schedule(
-                recovery.time_s,
-                EventKind::AggregatorRecover {
-                    aggregator: recovery.aggregator,
-                },
-            );
-        }
+        self.schedule_initial_events();
 
         let limits = self.scenario.limits;
         let mut stop_reason = StopReason::MaxVirtualTime;
@@ -1593,16 +1478,7 @@ impl<'a> FleetState<'a> {
             self.now = event.time;
             events_processed += 1;
             match event.kind {
-                EventKind::ControlPlaneTick => self.control_plane_tick(),
-                EventKind::RefreshSelectors => self.refresh_selectors(),
-                EventKind::AggregatorCrash { aggregator } => {
-                    if self.crashed.insert(aggregator) {
-                        self.stats.aggregator_failures += 1;
-                    }
-                }
-                EventKind::AggregatorRecover { aggregator } => self.handle_recovery(aggregator),
-                EventKind::ReconcileTick => self.reconcile_tick(),
-                EventKind::TaskClientFinished {
+                EventKind::ClientFinished {
                     task,
                     client_id,
                     participation_id,
@@ -1615,35 +1491,48 @@ impl<'a> FleetState<'a> {
                         }
                     }
                 }
-                EventKind::TaskClientFailed {
+                EventKind::ClientFailed {
                     task,
                     client_id: _,
                     participation_id,
                 } => {
-                    self.upload_route.remove(&participation_id);
+                    if let Some(plane) = &mut self.plane {
+                        plane.upload_route.remove(&participation_id);
+                    }
                     if let Some(freed) = self.runtimes[task].client_failed(participation_id) {
                         self.pool.release(freed);
+                        self.fill_demand();
                     }
+                }
+                EventKind::Evaluate { task } => {
+                    self.runtimes[task].evaluate(self.now);
+                    if limits.target_loss.is_some()
+                        && self.runtimes.iter().all(|r| r.target_reached())
+                    {
+                        stop_reason = StopReason::TargetLossReached;
+                        break;
+                    }
+                    self.queue.schedule(
+                        self.now + self.scenario.eval.interval_s,
+                        EventKind::Evaluate { task },
+                    );
+                }
+                EventKind::SampleUtilization => {
+                    for runtime in &mut self.runtimes {
+                        runtime.record_utilization(self.now);
+                    }
+                    self.queue.schedule(
+                        self.now + self.scenario.utilization_sample_interval_s,
+                        EventKind::SampleUtilization,
+                    );
                 }
                 EventKind::AggregatorDeadline { task } => {
                     // Exact timed release; a stale check (the buffer closed
                     // or moved since scheduling) polls as a no-op.
                     if let Some(outcome) = self.runtimes[task].poll(self.now) {
-                        if outcome.tsa_key_released {
-                            self.queue
-                                .schedule(self.now, EventKind::TsaKeyRelease { task });
-                        }
-                        if outcome.dp_released {
-                            self.queue.schedule(self.now, EventKind::DpRelease { task });
-                        }
-                        if outcome.robust_released {
-                            self.queue
-                                .schedule(self.now, EventKind::RobustRelease { task });
-                        }
-                        for freed in &outcome.freed {
-                            self.upload_route.remove(&freed.participation_id);
-                            self.pool.release(freed.client_id);
-                        }
+                        self.schedule_releases(task, &outcome);
+                        self.release_freed(&outcome.freed);
+                        self.fill_demand();
                     }
                 }
                 EventKind::TsaKeyRelease { task } => {
@@ -1668,26 +1557,29 @@ impl<'a> FleetState<'a> {
                     // task's robustness metrics.
                     self.runtimes[task].sync_robust_telemetry();
                 }
-                EventKind::EvaluateTask { task } => {
-                    self.runtimes[task].evaluate(self.now);
-                    if limits.target_loss.is_some()
-                        && self.runtimes.iter().all(|r| r.target_reached())
-                    {
-                        stop_reason = StopReason::TargetLossReached;
-                        break;
+                // Control-plane events: only a fleet run schedules them.
+                EventKind::ControlPlaneTick => self.control_plane_tick(),
+                EventKind::RefreshSelectors => {
+                    if let Some(plane) = &mut self.plane {
+                        plane.refresh_selectors(&mut self.queue, self.now);
                     }
-                    self.queue.schedule(
-                        self.now + self.scenario.eval.interval_s,
-                        EventKind::EvaluateTask { task },
-                    );
                 }
-                // Direct-path events, listed explicitly so a new
-                // `EventKind` variant is a compile error in this match.
-                EventKind::ClientFinished { .. }
-                | EventKind::ClientFailed { .. }
-                | EventKind::Evaluate
-                | EventKind::SampleUtilization => {
-                    unreachable!("fleet scenarios schedule no direct-path events")
+                EventKind::AggregatorCrash { aggregator } => {
+                    if let Some(plane) = &mut self.plane {
+                        if plane.crashed.insert(aggregator) {
+                            plane.stats.aggregator_failures += 1;
+                        }
+                    }
+                }
+                EventKind::AggregatorRecover { aggregator } => {
+                    if let Some(plane) = &mut self.plane {
+                        plane.recover(aggregator, &mut self.queue, self.now);
+                    }
+                }
+                EventKind::ReconcileTick => {
+                    if let Some(plane) = &mut self.plane {
+                        plane.reconcile(self.now);
+                    }
                 }
             }
             self.schedule_deadline_checks();
@@ -1697,18 +1589,10 @@ impl<'a> FleetState<'a> {
         for runtime in &mut self.runtimes {
             runtime.evaluate(self.now);
         }
-        self.stats.final_map_sequence = self.service.coordinator().sequence();
-        let counters = self.service.counters();
-        self.stats.heartbeats = counters.heartbeats;
-        self.stats.tasks_placed = counters.tasks_placed;
-        self.stats.tasks_orphaned = counters.tasks_orphaned;
-        self.stats.tasks_reconciled = counters.tasks_reconciled;
-        self.stats.pending_task_submissions = counters.pending_task_submissions;
-        self.stats.unknown_heartbeat_registrations = counters.unknown_heartbeat_registrations;
-        self.stats.control_log_events = self.service.log().len();
-        self.stats.checkpoints_taken = self.service.checkpoints_taken();
-        self.stats.checkpoint_age_events = self.service.checkpoint_age_events();
-
+        let (reassignments, stats) = match self.plane {
+            Some(plane) => plane.into_outcome(),
+            None => (vec![0; self.runtimes.len()], ControlPlaneStats::default()),
+        };
         let virtual_hours = self.now / 3600.0;
         let mut reports = Vec::with_capacity(self.runtimes.len());
         for (task_id, runtime) in self.runtimes.into_iter().enumerate() {
@@ -1716,12 +1600,12 @@ impl<'a> FleetState<'a> {
             reports.push(task_report(
                 task_id,
                 name,
-                self.reassignments[task_id],
+                reassignments[task_id],
                 runtime,
                 self.now,
             ));
         }
-        let fleet = roll_up(virtual_hours, &reports, self.stats);
+        let fleet = roll_up(virtual_hours, &reports, stats);
         Report {
             stop_reason,
             virtual_hours,
@@ -1731,15 +1615,40 @@ impl<'a> FleetState<'a> {
         }
     }
 
+    /// Fleet-less selection: tops every task's demand up with idle devices
+    /// drawn uniformly at random, then records utilization.  Called at t=0
+    /// and after every finish, failure, and deadline release.  A no-op with
+    /// a fleet, whose devices check in at control-plane ticks instead.
+    fn fill_demand(&mut self) {
+        if self.plane.is_some() {
+            return;
+        }
+        for task in 0..self.runtimes.len() {
+            for _ in 0..self.runtimes[task].demand() {
+                match self.pool.acquire_random(&mut self.rng) {
+                    Some(client_id) => {
+                        self.start_participation(task, client_id);
+                    }
+                    None => break, // every device is already participating
+                }
+            }
+            self.runtimes[task].record_utilization(self.now);
+        }
+    }
+
     /// One control-plane sweep: heartbeats, failure detection and task
     /// reassignment, demand pooling, and client assignment.
     fn control_plane_tick(&mut self) {
-        self.maybe_restore_control_plane();
+        let now = self.now;
+        let Some(plane) = &mut self.plane else {
+            return;
+        };
+        plane.maybe_restore(now);
 
         // Live Aggregators heartbeat; crashed ones stay silent.
-        for id in 0..self.fleet.aggregators {
-            if !self.crashed.contains(&id) {
-                self.service.heartbeat(id, self.now);
+        for id in 0..plane.fleet.aggregators {
+            if !plane.crashed.contains(&id) {
+                plane.service.heartbeat(id, now);
             }
         }
 
@@ -1747,11 +1656,11 @@ impl<'a> FleetState<'a> {
         // their buffered updates.  Tasks orphaned by total loss lose them
         // too (the buffers died with the Aggregator); their re-placement
         // waits for the reconcile pass triggered by the first recovery.
-        let sweep = self.service.detect_failures(self.now);
+        let sweep = plane.service.detect_failures(now);
         for task in sweep.reassigned {
             self.runtimes[task].drop_buffered_updates();
-            self.reassignments[task] += 1;
-            self.stats.task_reassignments += 1;
+            plane.reassignments[task] += 1;
+            plane.stats.task_reassignments += 1;
         }
         for task in sweep.orphaned {
             self.runtimes[task].drop_buffered_updates();
@@ -1759,13 +1668,13 @@ impl<'a> FleetState<'a> {
 
         // Demand pooling: every runtime reports its current client demand.
         for (task_id, runtime) in self.runtimes.iter().enumerate() {
-            self.service.report_demand(task_id, runtime.demand());
+            plane.service.report_demand(task_id, runtime.demand());
         }
 
         // Client assignment: idle devices check in and are assigned to
         // eligible tasks until demand is met (or no check-in succeeds).
         let total_demand: usize = (0..self.runtimes.len())
-            .map(|task| self.service.coordinator().effective_demand(task))
+            .map(|task| plane.service.coordinator().effective_demand(task))
             .sum();
         let mut assigned = 0;
         let mut turned_away = Vec::new();
@@ -1778,15 +1687,15 @@ impl<'a> FleetState<'a> {
                 Some(id) => id,
                 None => break, // every device is already participating
             };
-            match self.service.assign_client(self.tiers[client_id]) {
+            match self.plane.as_mut().and_then(|p| p.check_in(client_id)) {
                 Some((task, aggregator)) => {
-                    if self.route_and_start(task, aggregator, client_id) {
-                        assigned += 1;
-                    } else {
-                        turned_away.push(client_id);
+                    let participation_id = self.start_participation(task, client_id);
+                    if let Some(plane) = &mut self.plane {
+                        plane.upload_route.insert(participation_id, aggregator);
                     }
+                    assigned += 1;
                 }
-                None => turned_away.push(client_id), // no eligible task now
+                None => turned_away.push(client_id),
             }
         }
         for client_id in turned_away {
@@ -1794,123 +1703,49 @@ impl<'a> FleetState<'a> {
         }
 
         for runtime in &mut self.runtimes {
-            runtime.record_utilization(self.now);
+            runtime.record_utilization(now);
         }
-        self.maybe_schedule_reconcile();
-        self.queue.schedule(
-            self.now + self.fleet.control_plane_interval_s,
-            EventKind::ControlPlaneTick,
-        );
-    }
-
-    /// An injected Aggregator recovery: the process comes back, heartbeats
-    /// immediately (register-or-refresh), and any orphaned or pending tasks
-    /// are re-placed by the reconcile pass the heartbeat makes possible.
-    fn handle_recovery(&mut self, aggregator: AggregatorId) {
-        if self.crashed.remove(&aggregator) {
-            self.stats.aggregator_recoveries += 1;
-            self.service.heartbeat(aggregator, self.now);
-            self.maybe_schedule_reconcile();
+        if let Some(plane) = &mut self.plane {
+            plane.maybe_schedule_reconcile(&mut self.queue, now);
+            self.queue.schedule(
+                now + plane.fleet.control_plane_interval_s,
+                EventKind::ControlPlaneTick,
+            );
         }
     }
 
-    /// A reconciliation pass: diff desired placement (every task routed to a
-    /// healthy Aggregator) against actual routes and correct divergence.
-    /// Re-placing an orphan counts as a reassignment; first placement of a
-    /// pending task does not.
-    fn reconcile_tick(&mut self) {
-        self.reconcile_scheduled = false;
-        let corrections = self.service.reconcile(self.now);
-        for correction in corrections {
-            if correction.was_placed {
-                self.reassignments[correction.task] += 1;
-                self.stats.task_reassignments += 1;
-            }
-        }
-    }
-
-    /// Schedules a reconcile pass at the current instant iff one would do
-    /// work and none is already queued.  Scenarios whose placement never
-    /// diverges therefore process no extra events — a property the pinned
-    /// historical fingerprints depend on.
-    fn maybe_schedule_reconcile(&mut self) {
-        if !self.reconcile_scheduled && self.service.needs_reconciliation() {
-            self.reconcile_scheduled = true;
-            self.queue.schedule(self.now, EventKind::ReconcileTick);
-        }
-    }
-
-    /// If the scenario asks for a mid-run control-plane restore, throw away
-    /// the live service state at the first control tick past the requested
-    /// time and rebuild it from (checkpoint + log suffix).  Deliberately
-    /// in-band (not an event): a restore must not change the event count,
-    /// because its whole point is proving the run is bit-identical with and
-    /// without it.
-    fn maybe_restore_control_plane(&mut self) {
-        if let Some(restore_s) = self.scenario.control_plane_restore_s {
-            if !self.restored && self.now >= restore_s {
-                self.restored = true;
-                self.service.restore_from_checkpoint();
-                self.stats.coordinator_restores += 1;
-            }
-        }
-    }
-
-    /// Routes an assigned client through the next Selector and, if routing
-    /// succeeds, starts the participation.  Returns false when the client
-    /// must retry later (stale Selector map or dead Aggregator).
-    fn route_and_start(&mut self, task: usize, aggregator: AggregatorId, client_id: usize) -> bool {
-        let selector_index = self.selector_cursor % self.selectors.len();
-        self.selector_cursor += 1;
-        let selector = &self.selectors[selector_index];
-
-        // A Selector whose map sequence is behind the Coordinator's refuses
-        // to route and asks the client to retry while it refreshes.
-        if selector.is_stale(self.service.coordinator()) {
-            self.stats.stale_route_refusals += 1;
-            return false;
-        }
-        match selector.route(task) {
-            RouteOutcome::StaleMap => {
-                self.stats.stale_route_refusals += 1;
-                return false;
-            }
-            RouteOutcome::Routed(routed) => {
-                // The connection to a dead Aggregator fails outright; the
-                // client retries at a later check-in.
-                if self.crashed.contains(&routed) || routed != aggregator {
-                    return false;
-                }
-            }
-        }
-
+    /// Starts `client_id`'s participation in `task`: draws whether it drops
+    /// out, and schedules its finish or failure.  Returns the participation
+    /// id.
+    fn start_participation(&mut self, task: usize, client_id: usize) -> u64 {
         let device = self.scenario.population.device(client_id);
         let participation_id = self.next_participation_id;
         self.next_participation_id += 1;
 
         let timeout = self.runtimes[task].config().client_timeout_s;
-        let start = self.now + self.scenario.selection_latency_s;
+        let start = self.now + SELECTION_LATENCY_S;
         let drops_out = self.rng.gen::<f64>() < device.dropout_prob;
         let exceeds_timeout = device.exceeds_timeout(timeout);
         let execution_time = device.clamped_execution_time(timeout);
 
         self.runtimes[task].begin_participation(participation_id, client_id, execution_time);
-        self.upload_route.insert(participation_id, aggregator);
 
         if drops_out {
+            // The client fails partway through its (clamped) execution.
             let fraction: f64 = self.rng.gen_range(0.05..0.95);
             self.queue.schedule(
                 start + fraction * execution_time,
-                EventKind::TaskClientFailed {
+                EventKind::ClientFailed {
                     task,
                     client_id,
                     participation_id,
                 },
             );
         } else if exceeds_timeout {
+            // The client is aborted at the timeout.
             self.queue.schedule(
                 start + timeout,
-                EventKind::TaskClientFailed {
+                EventKind::ClientFailed {
                     task,
                     client_id,
                     participation_id,
@@ -1919,7 +1754,7 @@ impl<'a> FleetState<'a> {
         } else {
             self.queue.schedule(
                 start + execution_time,
-                EventKind::TaskClientFinished {
+                EventKind::ClientFinished {
                     task,
                     client_id,
                     participation_id,
@@ -1929,39 +1764,12 @@ impl<'a> FleetState<'a> {
             // local training on the worker pool now (no-op sequentially).
             self.runtimes[task].prefetch_training(participation_id);
         }
-        true
+        participation_id
     }
 
-    fn refresh_selectors(&mut self) {
-        for selector in &mut self.selectors {
-            if selector.is_stale(self.service.coordinator()) {
-                selector.refresh(self.service.coordinator());
-            }
-        }
-        self.queue.schedule(
-            self.now + self.fleet.selector_refresh_interval_s,
-            EventKind::RefreshSelectors,
-        );
-    }
-
-    fn handle_client_finished(&mut self, task: usize, client_id: usize, participation_id: u64) {
-        let destination = self.upload_route.remove(&participation_id);
-        // An upload addressed to a dead Aggregator is lost in transit; the
-        // participation failed from the task's point of view.
-        if destination
-            .map(|agg| self.crashed.contains(&agg))
-            .unwrap_or(false)
-        {
-            self.stats.lost_in_transit_updates += 1;
-            if let Some(freed) = self.runtimes[task].client_failed(participation_id) {
-                self.pool.release(freed);
-            }
-            return;
-        }
-        let outcome = match self.runtimes[task].offer_update(participation_id, self.now) {
-            Some(outcome) => outcome,
-            None => return, // aborted earlier (round end, staleness, failover)
-        };
+    /// Schedules the telemetry-sync events for whatever layers of `task`'s
+    /// aggregation stack just released.
+    fn schedule_releases(&mut self, task: usize, outcome: &UpdateOutcome) {
         if outcome.tsa_key_released {
             self.queue
                 .schedule(self.now, EventKind::TsaKeyRelease { task });
@@ -1973,10 +1781,44 @@ impl<'a> FleetState<'a> {
             self.queue
                 .schedule(self.now, EventKind::RobustRelease { task });
         }
+    }
+
+    /// Returns clients whose participations a release or an abort ended to
+    /// the idle pool.
+    fn release_freed(&mut self, freed: &[FreedClient]) {
+        for client in freed {
+            if let Some(plane) = &mut self.plane {
+                plane.upload_route.remove(&client.participation_id);
+            }
+            self.pool.release(client.client_id);
+        }
+    }
+
+    fn handle_client_finished(&mut self, task: usize, client_id: usize, participation_id: u64) {
+        if let Some(plane) = &mut self.plane {
+            // An upload addressed to a dead Aggregator is lost in transit;
+            // the participation failed from the task's point of view.
+            let destination = plane.upload_route.remove(&participation_id);
+            if destination.is_some_and(|agg| plane.crashed.contains(&agg)) {
+                plane.stats.lost_in_transit_updates += 1;
+                if let Some(freed) = self.runtimes[task].client_failed(participation_id) {
+                    self.pool.release(freed);
+                }
+                return;
+            }
+        }
+        let outcome = match self.runtimes[task].offer_update(participation_id, self.now) {
+            Some(outcome) => outcome,
+            None => return, // aborted earlier (round end, staleness, failover)
+        };
+        self.schedule_releases(task, &outcome);
         self.pool.release(client_id);
-        for freed in &outcome.freed {
-            self.upload_route.remove(&freed.participation_id);
-            self.pool.release(freed.client_id);
+        self.release_freed(&outcome.freed);
+        if self.plane.is_none() {
+            if outcome.round_ended {
+                self.runtimes[task].record_utilization(self.now);
+            }
+            self.fill_demand();
         }
     }
 }
@@ -2003,6 +1845,7 @@ mod tests {
         assert_eq!(report.stop_reason, StopReason::MaxVirtualTime);
         let task = report.single();
         assert!(task.server_updates() > 0);
+        assert_eq!(task.final_version, task.server_updates());
         assert!(task.final_loss < task.initial_loss);
         // The fleet roll-up covers the single task with zeroed control-plane
         // counters.
@@ -2431,7 +2274,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "min_capability_tier is enforced by Selector routing")]
     fn capability_tier_without_fleet_rejected() {
-        // A direct scenario has no Selectors, so a tier restriction would be
+        // A fleet-less scenario has no Selectors, so a tier restriction would be
         // silently ignored — the builder must reject it instead.
         let _ = Scenario::builder()
             .population(population(100))
@@ -2514,5 +2357,255 @@ mod tests {
             task.server_updates()
         );
         assert!(task.final_loss < task.initial_loss);
+    }
+
+    #[test]
+    #[should_panic(expected = "injected crash and recovery times must be finite")]
+    fn non_finite_crash_time_rejected() {
+        let _ = Scenario::builder()
+            .population(population(100))
+            .task(TaskConfig::async_task("t", 8, 2))
+            .fleet(FleetSpec::new(2, 1))
+            .crash_at(f64::NAN, 0)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "eval interval_s must be positive and finite")]
+    fn non_finite_eval_interval_rejected() {
+        let _ = Scenario::builder()
+            .population(population(100))
+            .task(TaskConfig::async_task("t", 8, 2))
+            .eval(EvalPolicy::default().with_interval_s(f64::NAN))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "utilization_sample_interval_s must be positive and finite")]
+    fn zero_utilization_sample_interval_rejected() {
+        let _ = Scenario::builder()
+            .population(population(100))
+            .task(TaskConfig::async_task("t", 8, 2))
+            .utilization_sample_interval_s(0.0)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet control_plane_interval_s must be positive and finite")]
+    fn zero_control_plane_interval_rejected() {
+        let _ = Scenario::builder()
+            .population(population(100))
+            .task(TaskConfig::async_task("t", 8, 2))
+            .fleet(FleetSpec::new(1, 1).with_control_plane_interval_s(0.0))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet selector_refresh_interval_s must be positive and finite")]
+    fn zero_selector_refresh_interval_rejected() {
+        let _ = Scenario::builder()
+            .population(population(100))
+            .task(TaskConfig::async_task("t", 8, 2))
+            .fleet(FleetSpec::new(1, 1).with_selector_refresh_interval_s(0.0))
+            .build();
+    }
+
+    /// A fleet-less single-task run, the shape behind the single-task
+    /// figures.
+    fn run_single(task: TaskConfig, hours: f64, population_size: usize, seed: u64) -> Report {
+        Scenario::builder()
+            .population(population(population_size))
+            .task(task)
+            .limits(RunLimits::default().with_max_virtual_time_hours(hours))
+            .eval(EvalPolicy::default().with_interval_s(600.0))
+            .seed(seed)
+            .build()
+            .run()
+    }
+
+    #[test]
+    fn concurrency_bound_is_respected() {
+        let report = run_single(TaskConfig::async_task("t", 32, 8), 1.0, 500, 3);
+        let m = &report.single().metrics;
+        assert!(m.utilization_trace.len() > 1);
+        assert!(m.utilization_trace.iter().all(|&(_, active)| active <= 32));
+    }
+
+    #[test]
+    fn selection_stays_fast_when_population_is_saturated() {
+        // Concurrency equal to the population size: every selection after
+        // warm-up happens from a nearly-empty free pool.
+        let report = run_single(TaskConfig::async_task("t", 120, 8), 1.0, 120, 3);
+        let task = report.single();
+        assert!(task.server_updates() > 0);
+        assert!(task
+            .metrics
+            .utilization_trace
+            .iter()
+            .all(|&(_, active)| active <= 120));
+    }
+
+    #[test]
+    fn sync_scenario_trains_and_counts_rounds() {
+        let report = run_single(TaskConfig::sync_task("t", 65, 0.3), 6.0, 1000, 3);
+        let m = &report.single().metrics;
+        assert!(m.server_updates > 2);
+        assert_eq!(m.round_durations_s.len() as u64, m.server_updates);
+        assert!(m.mean_round_duration_s() > 0.0);
+        // Over-selection aborts some still-running clients each round.
+        assert!(m.aborted_by_round_end > 0);
+    }
+
+    #[test]
+    fn sync_without_over_selection_has_no_aborted_clients_at_round_end() {
+        let report = run_single(TaskConfig::sync_task("t", 40, 0.0), 4.0, 800, 3);
+        let m = &report.single().metrics;
+        assert!(m.server_updates > 0);
+        // Without over-selection the round waits for every member (failures
+        // are replaced), so nobody is aborted when the round closes.
+        assert_eq!(m.aborted_by_round_end, 0);
+        assert_eq!(m.discarded_updates, 0);
+    }
+
+    #[test]
+    fn tight_staleness_bound_rejects_updates() {
+        // With 256 concurrent clients and K = 4, staleness frequently
+        // exceeds 1, so some updates must be rejected or clients aborted.
+        let task = TaskConfig::async_task("t", 256, 4).with_max_staleness(1);
+        let report = run_single(task, 1.0, 800, 2);
+        let m = &report.single().metrics;
+        assert!(m.rejected_stale_updates + m.failed_participations > 0);
+    }
+
+    #[test]
+    fn max_client_updates_stops_run() {
+        let report = Scenario::builder()
+            .population(population(500))
+            .task(TaskConfig::async_task("t", 32, 8))
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(50.0)
+                    .with_max_client_updates(200),
+            )
+            .seed(1)
+            .build()
+            .run();
+        assert_eq!(report.stop_reason, StopReason::MaxClientUpdates);
+        assert_eq!(report.single().comm_trips(), 200);
+    }
+
+    #[test]
+    fn target_loss_stops_early() {
+        let population = population(800);
+        let trainer = Arc::new(SurrogateObjective::new(
+            &population,
+            SurrogateConfig::default(),
+            17,
+        ));
+        let all: Vec<usize> = (0..population.len()).collect();
+        let initial_loss = trainer.evaluate(&trainer.initial_parameters(), &all);
+        let report = Scenario::builder()
+            .population(population)
+            .task_with_trainer(TaskConfig::async_task("t", 64, 16), trainer)
+            .limits(
+                RunLimits::default()
+                    .with_max_virtual_time_hours(20.0)
+                    .with_target_loss(initial_loss * 0.3),
+            )
+            .eval(EvalPolicy::default().with_interval_s(300.0))
+            .seed(5)
+            .build()
+            .run();
+        assert_eq!(report.stop_reason, StopReason::TargetLossReached);
+        assert!(report.single().hours_to_target.is_some());
+        assert!(report.virtual_hours < 20.0);
+    }
+
+    fn four_tasks() -> Vec<TaskConfig> {
+        vec![
+            TaskConfig::async_task("kbd-lm", 64, 16),
+            TaskConfig::async_task("kws", 32, 8).with_min_capability_tier(1),
+            TaskConfig::sync_task("ranker", 40, 0.3),
+            TaskConfig::async_task("asr", 24, 8).with_min_capability_tier(2),
+        ]
+    }
+
+    fn four_task_fleet(population_size: usize, seed: u64) -> ScenarioBuilder {
+        let mut builder = Scenario::builder()
+            .population(population(population_size))
+            .fleet(FleetSpec::new(2, 2))
+            .limits(RunLimits::default().with_max_virtual_time_hours(1.0))
+            .eval(EvalPolicy::default().with_interval_s(600.0))
+            .seed(seed);
+        for task in four_tasks() {
+            builder = builder.task(task);
+        }
+        builder
+    }
+
+    #[test]
+    fn capability_tiers_restrict_participation() {
+        let tiers: Vec<u8> = population(1500)
+            .iter()
+            .map(|d| TierPolicy::default().tier(&d))
+            .collect();
+        let report = four_task_fleet(1500, 13).build().run();
+        // Task 3 requires tier 2; every participant must be a tier-2 device.
+        let restricted = &report.tasks[3].metrics.participations;
+        assert!(!restricted.is_empty());
+        for record in restricted {
+            assert!(
+                tiers[record.client_id] >= 2,
+                "tier-{} device {} participated in the tier-2 task",
+                tiers[record.client_id],
+                record.client_id
+            );
+        }
+        // The unrestricted task sees lower-tier devices too.
+        assert!(report.tasks[0]
+            .metrics
+            .participations
+            .iter()
+            .any(|r| tiers[r.client_id] < 2));
+    }
+
+    #[test]
+    fn no_device_serves_two_tasks_at_once() {
+        // The shared sampling pool guarantees exclusivity across tasks, and
+        // `SamplingPool::release` panics on a double release, so a
+        // successful run through a crash and failover is itself the
+        // assertion; spot-check that utilization stays bounded.
+        let report = four_task_fleet(1200, 3).crash_at(600.0, 0).build().run();
+        assert_eq!(report.fleet.control_plane.aggregator_failures, 1);
+        let max_concurrency: usize = four_tasks().iter().map(|t| t.concurrency).sum();
+        for task in &report.tasks {
+            assert!(task
+                .metrics
+                .utilization_trace
+                .iter()
+                .all(|&(_, active)| active <= max_concurrency));
+        }
+    }
+
+    #[test]
+    fn demand_pooling_keeps_unconfirmed_assignments_bounded() {
+        // With a single small task, the Coordinator must not assign more
+        // clients than the task's demand between Aggregator reports.
+        let report = Scenario::builder()
+            .population(population(400))
+            .task(TaskConfig::async_task("t", 16, 4))
+            .fleet(FleetSpec::new(1, 1))
+            .limits(RunLimits::default().with_max_virtual_time_hours(0.5))
+            .eval(EvalPolicy::default().with_interval_s(600.0))
+            .seed(9)
+            .build()
+            .run();
+        let task = &report.tasks[0];
+        assert!(task.comm_trips() > 0);
+        assert!(task
+            .metrics
+            .utilization_trace
+            .iter()
+            .all(|&(_, active)| active <= 16));
     }
 }

@@ -20,7 +20,7 @@
 //! reproducing the paper's fault-tolerance semantics (buffered state is
 //! lost with the Aggregator; training resumes after reassignment).  For
 //! in-flight participations a driver can either let their uploads fail
-//! lazily when they arrive (what the fleet scenario path does: the upload
+//! lazily when they arrive (what a scenario with a fleet does: the upload
 //! is addressed to the dead Aggregator and is reported through
 //! [`client_failed`](TaskRuntime::client_failed)) or abort them all
 //! eagerly with

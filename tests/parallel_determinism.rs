@@ -4,10 +4,10 @@
 //! **bit-identical** at every thread count — the worker pool only moves pure
 //! `ClientTrainer::train` computations off the event-loop thread, and the
 //! loop consumes results in strict event order.  These tests pin that
-//! contract for all three aggregation strategies on the direct path, for
-//! the legacy `Simulation` shim, and for a fleet scenario with an injected
-//! Aggregator crash (which exercises discarded speculative work: dropouts,
-//! round aborts, in-transit losses, failover).
+//! contract for all three aggregation strategies in fleet-less scenarios,
+//! for the secure, DP, and robust stacks, and for a fleet scenario with an
+//! injected Aggregator crash (which exercises discarded speculative work:
+//! dropouts, round aborts, in-transit losses, failover).
 //!
 //! Comparison is by [`Report::fingerprint`], a digest over every counter,
 //! the full loss/utilization/participation traces, and the bit patterns of

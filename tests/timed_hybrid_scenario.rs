@@ -1,8 +1,8 @@
 //! Cross-crate integration test for the third pluggable aggregation
 //! strategy: the timed hybrid (FedBuff-style buffer with a sync-style round
-//! deadline) runs end to end through the unified `Scenario` API, in both
-//! the direct and the control-plane fleet paths — without the runtime ever
-//! branching on a training mode.
+//! deadline) runs end to end through the unified `Scenario` API, with and
+//! without a control-plane fleet — without the runtime ever branching on a
+//! training mode.
 
 use papaya_core::TaskConfig;
 use papaya_sim::scenario::{EvalPolicy, FleetSpec, RunLimits, Scenario, StopReason};
