@@ -2608,4 +2608,235 @@ mod tests {
             .iter()
             .all(|&(_, active)| active <= 16));
     }
+
+    /// One task over `population`, trained by a surrogate objective seeded
+    /// independently of the scenario seed.
+    fn run_with_trainer(
+        task: TaskConfig,
+        population: Population,
+        limits: RunLimits,
+        seed: u64,
+    ) -> Report {
+        let trainer = Arc::new(SurrogateObjective::new(
+            &population,
+            SurrogateConfig::default(),
+            17,
+        ));
+        Scenario::builder()
+            .population(population)
+            .task_with_trainer(task, trainer)
+            .limits(limits)
+            .eval(EvalPolicy::default().with_interval_s(600.0))
+            .seed(seed)
+            .build()
+            .run()
+    }
+
+    fn run_hours(task: TaskConfig, hours: f64, population_size: usize) -> Report {
+        run_with_trainer(
+            task,
+            population(population_size),
+            RunLimits::default().with_max_virtual_time_hours(hours),
+            3,
+        )
+    }
+
+    #[test]
+    fn async_scenario_trains_and_reduces_loss() {
+        let report = run_hours(TaskConfig::async_task("t", 64, 16), 3.0, 1000);
+        let task = report.single();
+        assert!(task.server_updates() > 10, "{}", task.server_updates());
+        assert_eq!(task.final_version, task.server_updates());
+        let first_loss = task.metrics.loss_curve.first().unwrap().1;
+        assert!(
+            task.final_loss < 0.5 * first_loss,
+            "loss {} -> {}",
+            first_loss,
+            task.final_loss
+        );
+    }
+
+    #[test]
+    fn async_has_more_server_updates_than_sync_in_same_time() {
+        let async_report = run_hours(TaskConfig::async_task("a", 64, 16), 2.0, 800);
+        let sync_report = run_hours(TaskConfig::sync_task("s", 64, 0.3), 2.0, 800);
+        let (async_updates, sync_updates) = (
+            async_report.single().server_updates(),
+            sync_report.single().server_updates(),
+        );
+        assert!(
+            async_updates > 2 * sync_updates,
+            "async {async_updates} vs sync {sync_updates}"
+        );
+    }
+
+    #[test]
+    fn async_utilization_is_higher_than_sync() {
+        let async_report = run_hours(TaskConfig::async_task("a", 50, 10), 2.0, 800);
+        let sync_report = run_hours(TaskConfig::sync_task("s", 50, 0.0), 2.0, 800);
+        let async_active = async_report.single().metrics.mean_active_clients();
+        let sync_active = sync_report.single().metrics.mean_active_clients();
+        assert!(
+            async_active > sync_active,
+            "{async_active} vs {sync_active}"
+        );
+        // AsyncFL stays close to the concurrency target.
+        assert!(async_active > 40.0, "{async_active}");
+    }
+
+    #[test]
+    fn single_task_run_is_deterministic_for_same_seed() {
+        let a = run_hours(TaskConfig::async_task("t", 32, 8), 1.0, 400);
+        let b = run_hours(TaskConfig::async_task("t", 32, 8), 1.0, 400);
+        let (a, b) = (a.single(), b.single());
+        assert_eq!(a.server_updates(), b.server_updates());
+        assert_eq!(a.comm_trips(), b.comm_trips());
+        assert_eq!(a.final_loss, b.final_loss);
+    }
+
+    #[test]
+    fn dropouts_are_recorded_and_replaced() {
+        let population = Population::generate(
+            &PopulationConfig::default().with_size(600).with_dropout(0.3),
+            9,
+        );
+        let report = run_with_trainer(
+            TaskConfig::async_task("t", 32, 8),
+            population,
+            RunLimits::default().with_max_virtual_time_hours(1.0),
+            9,
+        );
+        let m = &report.single().metrics;
+        assert!(m.failed_participations > 0);
+        // Failed clients are replaced, so training still progresses.
+        assert!(m.server_updates > 0);
+    }
+
+    #[test]
+    fn parallelism_limit_preserves_results() {
+        // Parallelism set through `RunLimits` rather than the builder.
+        let limits = RunLimits::default().with_max_virtual_time_hours(0.5);
+        let run = |limits: RunLimits| {
+            run_with_trainer(
+                TaskConfig::async_task("t", 32, 8),
+                population(400),
+                limits,
+                3,
+            )
+        };
+        let sequential = run(limits);
+        let parallel = run(limits.with_parallelism(Parallelism(2)));
+        let (sequential, parallel) = (sequential.single(), parallel.single());
+        assert_eq!(sequential.comm_trips(), parallel.comm_trips());
+        assert_eq!(sequential.server_updates(), parallel.server_updates());
+        assert_eq!(sequential.final_loss, parallel.final_loss);
+        assert_eq!(sequential.final_params, parallel.final_params);
+    }
+
+    #[test]
+    fn timed_hybrid_releases_without_closing_rounds() {
+        // An unreachable goal means every release is deadline-driven, and a
+        // timed-hybrid release is not a synchronous round.
+        let report = run_hours(
+            TaskConfig::timed_hybrid_task("h", 24, 10_000, 300.0),
+            1.0,
+            400,
+        );
+        let task = report.single();
+        assert!(task.server_updates() > 0);
+        assert!(task.metrics.round_durations_s.is_empty());
+    }
+
+    fn fleet_population(n: usize) -> Population {
+        Population::generate(&PopulationConfig::default().with_size(n), 23)
+    }
+
+    fn four_task_fleet_run(
+        population_size: usize,
+        aggregators: usize,
+        hours: f64,
+        eval_interval_s: f64,
+        seed: u64,
+    ) -> ScenarioBuilder {
+        let mut builder = Scenario::builder()
+            .population(fleet_population(population_size))
+            .fleet(FleetSpec::new(aggregators, 2))
+            .limits(RunLimits::default().with_max_virtual_time_hours(hours))
+            .eval(EvalPolicy::default().with_interval_s(eval_interval_s))
+            .seed(seed);
+        for task in four_tasks() {
+            builder = builder.task(task);
+        }
+        builder
+    }
+
+    #[test]
+    fn all_tasks_train_concurrently_over_shared_population() {
+        let report = four_task_fleet_run(2000, 3, 2.0, 600.0, 7).build().run();
+        assert_eq!(report.tasks.len(), 4);
+        for task in &report.tasks {
+            assert!(
+                task.comm_trips() > 0,
+                "task {} received no updates",
+                task.name
+            );
+            assert!(
+                task.final_loss < task.initial_loss,
+                "task {} did not improve: {} -> {}",
+                task.name,
+                task.initial_loss,
+                task.final_loss
+            );
+        }
+        assert_eq!(
+            report.fleet.total_comm_trips,
+            report.tasks.iter().map(|t| t.comm_trips()).sum::<u64>()
+        );
+        assert_eq!(report.fleet.control_plane.aggregator_failures, 0);
+        assert_eq!(report.fleet.control_plane.task_reassignments, 0);
+    }
+
+    #[test]
+    fn crash_drops_buffers_reassigns_and_training_resumes() {
+        let report = four_task_fleet_run(2000, 2, 2.0, 300.0, 21)
+            .crash_at(1800.0, 0)
+            .build()
+            .run();
+        let cp = &report.fleet.control_plane;
+        assert_eq!(cp.aggregator_failures, 1);
+        assert!(cp.task_reassignments > 0, "no task was reassigned");
+        // The reassignment bumps the map sequence past the initial submits.
+        assert!(cp.final_map_sequence > 4);
+        // Tasks on the dead Aggregator lost in-transit uploads.
+        assert!(cp.lost_in_transit_updates > 0);
+        // Every task still converges.
+        for task in &report.tasks {
+            assert!(
+                task.final_loss < task.initial_loss,
+                "task {} did not improve after failover",
+                task.name
+            );
+        }
+        // At least one task was moved and lost buffered progress.
+        assert!(report.tasks.iter().any(|t| t.reassignments > 0));
+    }
+
+    #[test]
+    fn fleet_runs_are_deterministic_for_the_same_seed() {
+        let run = || {
+            four_task_fleet_run(1000, 2, 1.0, 600.0, 5)
+                .crash_at(900.0, 1)
+                .build()
+                .run()
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.fleet.total_comm_trips, b.fleet.total_comm_trips);
+        assert_eq!(a.fleet.total_server_updates, b.fleet.total_server_updates);
+        assert_eq!(a.fleet.control_plane, b.fleet.control_plane);
+        for (x, y) in a.tasks.iter().zip(&b.tasks) {
+            assert_eq!(x.final_loss, y.final_loss);
+            assert_eq!(x.comm_trips(), y.comm_trips());
+        }
+    }
 }
